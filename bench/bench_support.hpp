@@ -5,7 +5,7 @@
 // exp::ParallelRunner, reads measurements back from the aggregated
 // summaries, and writes the versioned BENCH_<name>.json sweep artifact.
 // Failures are loud: any run that trips an obs trace checker (or throws
-// during setup) aborts the bench, exactly like BenchReport::add_run did.
+// during setup) aborts the bench.
 
 #include <algorithm>
 #include <chrono>

@@ -46,6 +46,7 @@ namespace mobidist::analysis {
                                                                   std::uint32_t m) {
   return static_cast<std::uint64_t>(n) * m;
 }
+/// Upper bound on grants per traversal for R2': N (once per MH).
 [[nodiscard]] constexpr std::uint64_t r2prime_max_grants_per_traversal(std::uint32_t n) {
   return n;
 }

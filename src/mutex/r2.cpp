@@ -89,11 +89,17 @@ class R2Mutex::StationAgent : public net::MssAgent {
       std::erase_if(token_.served, [this](const auto& pair) { return pair.first == index_; });
     }
     // Move eligible pending requests to the grant queue — only now, at
-    // token arrival (later arrivals wait for the next traversal).
+    // token arrival (later arrivals wait for the next traversal). R2''
+    // enters each grant into token_list as it is queued, so a MH with
+    // two requests queued here is served once; its second request waits
+    // for the next traversal.
     std::deque<R2Request> keep;
     for (const auto& request : requests_) {
       if (eligible(request)) {
         grants_.push_back(request);
+        if (owner_.variant_ == RingVariant::kTokenList) {
+          token_.served.emplace_back(index_, net::index(request.mh));
+        }
       } else {
         keep.push_back(request);
       }
@@ -131,9 +137,6 @@ class R2Mutex::StationAgent : public net::MssAgent {
     // visible to grant_label's stale-snapshot detection.
     const char* label = owner_.grant_label(request.mh, token_.token_val);
     owner_.record_grant(token_.token_val, request.mh);
-    if (owner_.variant_ == RingVariant::kTokenList) {
-      token_.served.emplace_back(index_, net::index(request.mh));
-    }
     token_out_ = true;
     net().emit({.kind = obs::EventKind::kTokenDepart,
                 .entity = net::entity_of(self()),

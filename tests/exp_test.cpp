@@ -5,6 +5,7 @@
 // the `sweep` ctest label so the TSan preset can select them.
 
 #include <cstdint>
+#include <cstdlib>
 #include <limits>
 #include <string>
 #include <vector>
@@ -344,6 +345,19 @@ TEST(ExpRunner, UnknownWorkloadFailsLoudly) {
   const auto result = exp::run_scenario(plan);
   EXPECT_FALSE(result.ok);
   EXPECT_NE(result.error.find("no_such_workload"), std::string::npos);
+}
+
+TEST(ExpRunner, UnwritableTraceDirFailsTheRunLoudly) {
+  RunPlan plan;
+  plan.spec = small_mutex_spec();
+  plan.cell = "base";
+  ::setenv("MOBIDIST_TRACE_DIR", "/nonexistent/mobidist-trace-dir", 1);
+  const auto result = exp::run_scenario(plan);
+  ::unsetenv("MOBIDIST_TRACE_DIR");
+  EXPECT_FALSE(result.ok);
+  EXPECT_NE(result.error.find("cannot write /nonexistent/mobidist-trace-dir/"),
+            std::string::npos)
+      << result.error;
 }
 
 // --- aggregation -----------------------------------------------------------

@@ -2,11 +2,11 @@
 // zero-probability no-op guarantee, and exact crash/partition timing.
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "core/report.hpp"
 #include "fault/fault_plane.hpp"
 #include "test_support.hpp"
 
@@ -131,20 +131,22 @@ TEST(FaultPlane, ZeroProbabilityProfileIsAPerfectNoOp) {
   cfg.latency = LatencyConfig{};  // randomized latencies: rng_ draws matter
   cfg.search = SearchMode::kBroadcast;
 
-  core::BenchReport with_plane("noop");
-  core::BenchReport without_plane("noop");
+  std::string with_plane;
+  std::string without_plane;
   {
     Network net(cfg);
     net.install_fault_plane(fault::FaultProfile{});
     run_workload(net);
-    with_plane.add_run("run", net, cost::CostParams{});
+    ExpectCleanEventStream(net);
+    with_plane = run_record(net);
   }
   {
     Network net(cfg);
     run_workload(net);
-    without_plane.add_run("run", net, cost::CostParams{});
+    ExpectCleanEventStream(net);
+    without_plane = run_record(net);
   }
-  EXPECT_EQ(with_plane.deterministic_json(), without_plane.deterministic_json());
+  EXPECT_EQ(with_plane, without_plane);
 }
 
 TEST(FaultPlane, CrashScheduleFiresAtExactSimTimes) {

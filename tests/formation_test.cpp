@@ -29,14 +29,6 @@ NetConfig batching_config(std::uint32_t deadline, std::uint32_t max_msgs = 16,
   return cfg;
 }
 
-std::size_t count_kind(const Network& net, obs::EventKind kind) {
-  std::size_t n = 0;
-  for (const auto& ev : net.events().snapshot()) {
-    if (ev.kind == kind) ++n;
-  }
-  return n;
-}
-
 // --------------------------------------------------------------------------
 // Construction / passthrough
 // --------------------------------------------------------------------------

@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "exp/exp.hpp"
 #include "mobility/mobility_model.hpp"
 #include "mutex/monitor.hpp"
 #include "mutex/r1.hpp"
@@ -333,6 +336,34 @@ TEST(R2DoublePrime, TokenListBlocksMaliciousCounter) {
   EXPECT_EQ(r2.completed(), 2u);
   EXPECT_EQ(r2.grants_for(mh_id(0), 1), 1u);  // blocked within the traversal
   EXPECT_EQ(r2.grants_for(mh_id(0), 2), 1u);
+}
+
+// Regression: R2'' checked eligibility for a station's whole pending
+// queue before token_list recorded the first grant, so a MH with two
+// requests queued at one station was served twice in one traversal and
+// the traversal_cap checker rejected the run (8 of these 8 seeds).
+TEST(R2DoublePrime, HostWithTwoQueuedRequestsIsServedOncePerTraversal) {
+  exp::ScenarioSpec spec;
+  spec.name = "r2pp_double_grant";
+  spec.workload = "mutex";
+  spec.variant = "r2pp";
+  spec.net.num_mss = 8;
+  spec.net.num_mh = 32;
+  spec.params["requests"] = 64;
+  spec.params["request_start"] = 5;
+  spec.params["request_gap"] = 10;
+  spec.params["token_at"] = 1;
+  spec.params["traversals"] = 60;
+  exp::SweepGrid grid;
+  grid.seeds = exp::derive_seeds(1, 8);
+  const auto results = exp::ParallelRunner(2).run(grid.expand(spec));
+  ASSERT_EQ(results.size(), 8u);
+  for (const auto& result : results) {
+    SCOPED_TRACE("seed=" + std::to_string(result.seed));
+    // ok covers every trace checker, traversal_cap included.
+    ASSERT_TRUE(result.ok) << result.error;
+    EXPECT_EQ(result.metrics.at("workload.completed"), 64.0);
+  }
 }
 
 TEST(R2, DisconnectedRequesterIsSkippedAndRingContinues) {

@@ -1,132 +1,22 @@
-// Metrics registry (src/obs) and JSON bench-artifact (core::BenchReport)
-// tests: metric semantics, registration rules, serializer validity, and
-// the byte-identical-for-identical-seeds determinism contract.
+// Metrics registry (src/obs) and JSON helper tests: metric semantics,
+// registration rules, escaping, and the byte-identical-for-identical-seeds
+// determinism contract of a run's record.
 
 #include <gtest/gtest.h>
 
-#include <cstddef>
-#include <cstdlib>
+#include <cstdint>
 #include <stdexcept>
 #include <string>
 
 #include "core/mobidist.hpp"
+#include "test_support.hpp"
 
 namespace mobidist::test {
 namespace {
 
 using net::MhId;
-using net::MssId;
 using net::NetConfig;
 using net::Network;
-
-// --------------------------------------------------------------------------
-// A minimal JSON validator (objects/arrays/strings/numbers/literals),
-// enough to prove the serializer emits well-formed documents.
-// --------------------------------------------------------------------------
-
-class JsonChecker {
- public:
-  explicit JsonChecker(const std::string& text) : text_(text) {}
-
-  bool valid() {
-    skip_ws();
-    if (!value()) return false;
-    skip_ws();
-    return pos_ == text_.size();
-  }
-
- private:
-  bool value() {
-    if (pos_ >= text_.size()) return false;
-    switch (text_[pos_]) {
-      case '{': return object();
-      case '[': return array();
-      case '"': return string();
-      case 't': return literal("true");
-      case 'f': return literal("false");
-      case 'n': return literal("null");
-      default: return number();
-    }
-  }
-
-  bool object() {
-    ++pos_;  // '{'
-    skip_ws();
-    if (peek() == '}') { ++pos_; return true; }
-    while (true) {
-      skip_ws();
-      if (!string()) return false;
-      skip_ws();
-      if (peek() != ':') return false;
-      ++pos_;
-      skip_ws();
-      if (!value()) return false;
-      skip_ws();
-      if (peek() == ',') { ++pos_; continue; }
-      if (peek() == '}') { ++pos_; return true; }
-      return false;
-    }
-  }
-
-  bool array() {
-    ++pos_;  // '['
-    skip_ws();
-    if (peek() == ']') { ++pos_; return true; }
-    while (true) {
-      skip_ws();
-      if (!value()) return false;
-      skip_ws();
-      if (peek() == ',') { ++pos_; continue; }
-      if (peek() == ']') { ++pos_; return true; }
-      return false;
-    }
-  }
-
-  bool string() {
-    if (peek() != '"') return false;
-    ++pos_;
-    while (pos_ < text_.size() && text_[pos_] != '"') {
-      if (text_[pos_] == '\\') ++pos_;
-      ++pos_;
-    }
-    if (pos_ >= text_.size()) return false;
-    ++pos_;  // closing quote
-    return true;
-  }
-
-  bool number() {
-    const std::size_t start = pos_;
-    if (peek() == '-') ++pos_;
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) != 0 ||
-            text_[pos_] == '.' || text_[pos_] == 'e' || text_[pos_] == 'E' ||
-            text_[pos_] == '+' || text_[pos_] == '-')) {
-      ++pos_;
-    }
-    return pos_ > start;
-  }
-
-  bool literal(const char* word) {
-    const std::string w(word);
-    if (text_.compare(pos_, w.size(), w) != 0) return false;
-    pos_ += w.size();
-    return true;
-  }
-
-  [[nodiscard]] char peek() const { return pos_ < text_.size() ? text_[pos_] : '\0'; }
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           (text_[pos_] == ' ' || text_[pos_] == '\n' || text_[pos_] == '\t' ||
-            text_[pos_] == '\r')) {
-      ++pos_;
-    }
-  }
-
-  const std::string& text_;
-  std::size_t pos_ = 0;
-};
-
-bool is_valid_json(const std::string& text) { return JsonChecker(text).valid(); }
 
 // --------------------------------------------------------------------------
 // Counter / Gauge / Histogram semantics
@@ -258,40 +148,8 @@ TEST(Json, EscapesControlAndQuoteCharacters) {
   EXPECT_EQ(core::json_escape(std::string("\x01", 1)), "\\u0001");
 }
 
-TEST(Json, MetricsJsonIsValidAndNameOrdered) {
-  obs::Registry registry;
-  registry.counter("b.second").inc(2);
-  registry.counter("a.first").inc(1);
-  registry.gauge("g.depth").set(-4);
-  registry.histogram("h.lat", {1, 10}).record(5);
-  const std::string json = core::metrics_json(registry);
-  EXPECT_TRUE(is_valid_json(json)) << json;
-  EXPECT_LT(json.find("a.first"), json.find("b.second"));  // map iteration order
-  EXPECT_NE(json.find("\"g.depth\":-4"), std::string::npos);
-  EXPECT_NE(json.find("\"bounds\":[1,10]"), std::string::npos);
-}
-
-TEST(BenchReport, ArtifactIsValidJsonWithTimingSection) {
-  core::BenchReport report("unit");
-  report.note("k", "v");
-  Network net(NetConfig{});
-  net.start();
-  net.mh(MhId(0)).move_to(MssId(1), 5);
-  net.run();
-  report.add_run("run0", net, cost::CostParams{});
-  const std::string full = report.json();
-  EXPECT_TRUE(is_valid_json(full)) << full;
-  EXPECT_NE(full.find("\"name\":\"unit\""), std::string::npos);
-  EXPECT_NE(full.find("\"timing\":{\"wall_clock_ms\":"), std::string::npos);
-  // The deterministic body excludes timing entirely.
-  const std::string det = report.deterministic_json();
-  EXPECT_TRUE(is_valid_json(det)) << det;
-  EXPECT_EQ(det.find("timing"), std::string::npos);
-  EXPECT_EQ(det.find("wall_clock"), std::string::npos);
-}
-
 // --------------------------------------------------------------------------
-// Determinism: identical seeds => byte-identical metric serialization
+// Determinism: identical seeds => byte-identical run records
 // --------------------------------------------------------------------------
 
 std::string run_and_serialize(std::uint64_t seed) {
@@ -315,30 +173,21 @@ std::string run_and_serialize(std::uint64_t seed) {
     net.sched().schedule(1 + 2 * i, [&l2, i] { l2.request(MhId(i)); });
   }
   net.run();
-  core::BenchReport report("determinism");
-  report.add_run("run", net, cost::CostParams{});
-  return report.deterministic_json();
+  ExpectCleanEventStream(net);
+  return run_record(net);
 }
 
-TEST(BenchReport, IdenticalSeedsSerializeByteIdentically) {
+TEST(RunRecord, IdenticalSeedsSerializeByteIdentically) {
   const std::string first = run_and_serialize(4242);
   const std::string second = run_and_serialize(4242);
   EXPECT_EQ(first, second);
-  EXPECT_TRUE(is_valid_json(first));
   // ...and the registry actually recorded activity (not trivially empty).
-  EXPECT_NE(first.find("\"net.handoffs\":"), std::string::npos);
-  EXPECT_NE(first.find("mutex.cs_wait"), std::string::npos);
+  EXPECT_NE(first.find("\nnet.handoffs="), std::string::npos);
+  EXPECT_NE(first.find("\nmutex.cs_wait count="), std::string::npos);
 }
 
-TEST(BenchReport, DifferentSeedsDiverge) {
+TEST(RunRecord, DifferentSeedsDiverge) {
   EXPECT_NE(run_and_serialize(1), run_and_serialize(2));
-}
-
-TEST(BenchReport, WriteToMissingDirectoryThrows) {
-  ::setenv("MOBIDIST_BENCH_DIR", "/nonexistent/mobidist-bench-dir", 1);
-  core::BenchReport report("throws_on_bad_dir");
-  EXPECT_THROW((void)report.write(), std::runtime_error);
-  ::unsetenv("MOBIDIST_BENCH_DIR");
 }
 
 }  // namespace

@@ -4,7 +4,9 @@
 // expose the protected send helpers and log every callback.
 
 #include <any>
+#include <cstddef>
 #include <functional>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -16,6 +18,7 @@
 #include "net/ids.hpp"
 #include "net/network.hpp"
 #include "obs/checkers.hpp"
+#include "obs/events.hpp"
 
 namespace mobidist::test {
 
@@ -156,6 +159,41 @@ inline void ExpectCleanEventStream(const Network& net) {
   for (const auto& failure : failures) {
     ADD_FAILURE() << "event-stream checker failed: " << obs::to_string(failure);
   }
+}
+
+/// Number of retained events of `kind` in the network's event stream.
+inline std::size_t count_kind(const Network& net, obs::EventKind kind) {
+  std::size_t n = 0;
+  net.events().for_each([&n, kind](const obs::Event& ev) {
+    if (ev.kind == kind) ++n;
+  });
+  return n;
+}
+
+/// Everything a run leaves behind that is a pure function of its seed:
+/// the event stream as JSONL (plus its emitted/dropped counts), the
+/// scheduler's fired count, the cost-ledger totals, and every registry
+/// metric in name order. Two runs behaved identically iff their records
+/// compare byte-for-byte.
+inline std::string run_record(const Network& net) {
+  std::ostringstream os;
+  os << obs::to_jsonl(net.events()) << "events emitted=" << net.events().emitted()
+     << " dropped=" << net.events().dropped() << " fired=" << net.sched().fired() << '\n';
+  const auto& ledger = net.ledger();
+  os << "ledger fixed=" << ledger.fixed_msgs() << " wireless=" << ledger.wireless_msgs()
+     << " searches=" << ledger.searches() << " tx=" << ledger.wireless_tx()
+     << " rx=" << ledger.wireless_rx() << '\n';
+  const auto& metrics = net.metrics();
+  for (const auto& [name, counter] : metrics.counters()) {
+    os << name << '=' << counter.value() << '\n';
+  }
+  for (const auto& [name, gauge] : metrics.gauges()) os << name << '=' << gauge.value() << '\n';
+  for (const auto& [name, hist] : metrics.histograms()) {
+    os << name << " count=" << hist.count() << " sum=" << hist.sum() << " buckets=";
+    for (const auto n : hist.bucket_counts()) os << n << ',';
+    os << '\n';
+  }
+  return os.str();
 }
 
 }  // namespace mobidist::test

@@ -18,8 +18,8 @@ documented if its own line carries a trailing `///<` comment.
 
 The check is a line-based heuristic tuned to this repository's style
 (Core Guidelines formatting, clang-format discipline); it is wired
-into CTest as `doc_comments` so an undocumented public symbol in
-src/sim or src/net fails the suite. Exit status: 0 clean, 1 with one
+into CTest as `doc_comments` so an undocumented public symbol in any
+linted src/ directory fails the suite. Exit status: 0 clean, 1 with one
 `file:line: symbol` diagnostic per missing doc.
 """
 
@@ -184,7 +184,7 @@ def check_file(path: Path) -> list[str]:
                 return  # constructor
             # Constructor detection without tracking names: the callee
             # token is also the first token of the declaration (no
-            # return type), e.g. "Trace(std::size_t capacity...)" or
+            # return type), e.g. "Table(std::vector<std::string> headers)" or
             # "explicit Rng(std::uint64_t seed)".
             first = s.replace("explicit", "").replace("constexpr", "").strip()
             if first.startswith(name + "("):
