@@ -16,11 +16,14 @@ namespace mobidist::group {
 struct Group {
   std::vector<net::MhId> members;  ///< sorted, unique
 
+  /// True when `mh` is a member (binary search over `members`).
   [[nodiscard]] bool contains(net::MhId mh) const {
     return std::binary_search(members.begin(), members.end(), mh);
   }
+  /// Number of members.
   [[nodiscard]] std::size_t size() const noexcept { return members.size(); }
 
+  /// A group of `mhs`, sorted and with duplicates removed.
   [[nodiscard]] static Group of(std::vector<net::MhId> mhs) {
     std::sort(mhs.begin(), mhs.end());
     mhs.erase(std::unique(mhs.begin(), mhs.end()), mhs.end());
@@ -33,18 +36,23 @@ struct Group {
 /// *after* their own duplicate suppression.
 class DeliveryMonitor {
  public:
+  /// Record that `sender` sent group message `msg_id`.
   void sent(std::uint64_t msg_id, net::MhId sender) {
     senders_[msg_id] = sender;
     ++sent_;
   }
 
+  /// Record one delivery of `msg_id` to `member` (repeats count up).
   void delivered(std::uint64_t msg_id, net::MhId member) {
     ++deliveries_[msg_id][member];
   }
 
+  /// Record one copy a strategy suppressed as a duplicate.
   void duplicate() noexcept { ++duplicates_suppressed_; }
 
+  /// Group messages sent so far.
   [[nodiscard]] std::uint64_t total_sent() const noexcept { return sent_; }
+  /// Copies suppressed so far (see duplicate()).
   [[nodiscard]] std::uint64_t duplicates_suppressed() const noexcept {
     return duplicates_suppressed_;
   }

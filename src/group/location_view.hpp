@@ -39,7 +39,9 @@ class LocationViewGroup {
   /// Send one group message from `sender` (must be a member).
   std::uint64_t send_group_message(net::MhId sender);
 
+  /// The (static) group this strategy serves.
   [[nodiscard]] const Group& group() const noexcept { return group_; }
+  /// The delivery oracle every member delivery is reported to.
   [[nodiscard]] DeliveryMonitor& monitor() noexcept { return monitor_; }
   [[nodiscard]] const DeliveryMonitor& monitor() const noexcept { return monitor_; }
 

@@ -26,7 +26,9 @@ class PureSearchGroup {
   /// from inside the simulation. Returns the message id.
   std::uint64_t send_group_message(net::MhId sender);
 
+  /// The (static) group this strategy serves.
   [[nodiscard]] const Group& group() const noexcept { return group_; }
+  /// The delivery oracle every member delivery is reported to.
   [[nodiscard]] DeliveryMonitor& monitor() noexcept { return monitor_; }
   [[nodiscard]] const DeliveryMonitor& monitor() const noexcept { return monitor_; }
 

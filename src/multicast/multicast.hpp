@@ -40,7 +40,9 @@ class McastService {
   /// with the delivery monitor. Callable from inside the simulation.
   std::uint64_t publish(net::MssId source);
 
+  /// The MHs every published message must reach.
   [[nodiscard]] const group::Group& recipients() const noexcept { return recipients_; }
+  /// The delivery oracle every recipient delivery is reported to.
   [[nodiscard]] group::DeliveryMonitor& monitor() noexcept { return monitor_; }
   [[nodiscard]] const group::DeliveryMonitor& monitor() const noexcept { return monitor_; }
 

@@ -1,5 +1,6 @@
 #include "net/mobile_host.hpp"
 
+#include <cassert>
 #include <stdexcept>
 #include <utility>
 
@@ -79,6 +80,33 @@ void MobileHost::complete_join(MssId at) {
   downlink_seq_seen_ = 0;
   ++joins_completed_;
   for (auto& [proto, agent] : agents_) agent->on_joined_cell(at);
+}
+
+CellLink* MobileHost::find_link(MssId mss) noexcept {
+  assert(mss != kInvalidMss);
+  if (first_link_.mss == mss) return &first_link_;
+  for (auto& link : more_links_) {
+    if (link.mss == mss) return &link;
+  }
+  return nullptr;
+}
+
+CellLink& MobileHost::link(MssId mss) {
+  if (auto* found = find_link(mss)) return *found;
+  if (first_link_.mss == kInvalidMss) {
+    first_link_.mss = mss;
+    return first_link_;
+  }
+  auto& added = more_links_.emplace_back();
+  added.mss = mss;
+  return added;
+}
+
+ChannelState& MobileHost::downlink(MssId mss) {
+  for (auto& entry : downlinks_) {
+    if (entry.mss == mss) return entry.chan;
+  }
+  return downlinks_.emplace_back(Downlink{mss, {}}).chan;
 }
 
 void MobileHost::send_relay(MhId dst, ProtocolId inner_proto, Body body, bool fifo) {

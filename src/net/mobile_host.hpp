@@ -3,8 +3,10 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <vector>
 
 #include "net/agent.hpp"
+#include "net/channel.hpp"
 #include "net/envelope.hpp"
 #include "net/ids.hpp"
 #include "net/messages.hpp"
@@ -19,6 +21,22 @@ enum class MhState : std::uint8_t {
   kConnected,     ///< local to exactly one cell
   kInTransit,     ///< between leave() and join(): unreachable but will rejoin
   kDisconnected,  ///< voluntarily disconnected; may never return
+};
+
+/// Everything one cell keeps about one MH: the §2 membership bits of
+/// that cell's MSS and the MH's uplink into it. The MH owns one record
+/// per cell it has been in (N >> M, and a MH visits few cells), so the
+/// join/leave/handoff path finds its state with a short linear scan.
+struct CellLink {
+  MssId mss = kInvalidMss;
+  bool local = false;                ///< in the MSS's local-MH list
+  bool disconnected = false;         ///< the MSS holds a "disconnected" flag
+  bool awaiting_handoff_in = false;  ///< the MSS awaits this MH's state from its last cell
+  bool has_deferred = false;         ///< a HandoffRequest waits in Mss's deferred map
+  /// joins_completed() at the MH's latest arrival in this cell; 0 if it
+  /// never joined here (placement is not a join).
+  std::uint64_t arrival_seq = 0;
+  ChannelState uplink;  ///< MH -> this MSS wireless channel
 };
 
 /// A mobile host. Owns the MH side of the §2 protocol: leave(r)/join,
@@ -99,6 +117,14 @@ class MobileHost {
   friend class Mss;
 
   void complete_join(MssId at);  ///< invoked when the MSS processes our join
+  /// This MH's record for `mss`'s cell; nullptr if it never touched it.
+  [[nodiscard]] CellLink* find_link(MssId mss) noexcept;
+  /// The record for `mss`'s cell, appended on first contact. Appending
+  /// may move later records, so never hold the reference across a call
+  /// that can reach an agent (agents can send, and sending can append).
+  [[nodiscard]] CellLink& link(MssId mss);
+  /// The downlink channel from `mss` to this MH, created on first use.
+  [[nodiscard]] ChannelState& downlink(MssId mss);
   void dispatch_inner(ProtocolId proto, MhId from, const Body& body);
   void accept_relay(const msg::Relay& relay);
 
@@ -112,6 +138,17 @@ class MobileHost {
   std::uint64_t joins_completed_ = 0;
 
   std::map<ProtocolId, std::shared_ptr<MhAgent>> agents_;
+
+  // Link records: the first (the placement cell) inline so placement
+  // allocates nothing, later cells in visiting order. Downlink channels
+  // live apart and only once an MSS actually sends to this MH.
+  CellLink first_link_;
+  std::vector<CellLink> more_links_;
+  struct Downlink {
+    MssId mss;
+    ChannelState chan;
+  };
+  std::vector<Downlink> downlinks_;
 
   // Relay FIFO machinery: per-destination send sequence numbers and a
   // per-source resequencing buffer (next expected seq + held payloads).

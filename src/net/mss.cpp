@@ -1,5 +1,7 @@
 #include "net/mss.hpp"
 
+#include <any>
+#include <cassert>
 #include <stdexcept>
 #include <utility>
 
@@ -23,6 +25,26 @@ MssAgent* Mss::agent(ProtocolId proto) const noexcept {
   return it == agents_.end() ? nullptr : it->second.get();
 }
 
+std::vector<MhId> Mss::local_mhs() const {
+  std::vector<MhId> local;
+  for (std::uint32_t i = 0; i < net_.num_mh(); ++i) {
+    if (is_local(static_cast<MhId>(i))) local.push_back(static_cast<MhId>(i));
+  }
+  return local;
+}
+
+bool Mss::is_local(MhId mh) const {
+  const auto* link = net_.mh(mh).find_link(id_);
+  return link != nullptr && link->local;
+}
+
+bool Mss::has_disconnected_flag(MhId mh) const {
+  const auto* link = net_.mh(mh).find_link(id_);
+  return link != nullptr && link->disconnected;
+}
+
+void Mss::place_local(MhId mh) { net_.mh(mh).link(id_).local = true; }
+
 void Mss::start_agents() {
   for (auto& [proto, agent] : agents_) agent->on_start();
 }
@@ -45,7 +67,7 @@ void Mss::dispatch(const Envelope& env) {
       return;
     }
     if (const auto* find = body_as<msg::FindDisconnect>(env)) {
-      msg::FindDisconnectReply reply{find->mh, id_, disconnected_.contains(find->mh)};
+      msg::FindDisconnectReply reply{find->mh, id_, has_disconnected_flag(find->mh)};
       net_.send_wired(id_, find->origin, make_control(NodeRef(id_), NodeRef(find->origin), reply));
       return;
     }
@@ -58,7 +80,7 @@ void Mss::dispatch(const Envelope& env) {
                    .peer = entity_of(found->from),
                    .arg = index(found->mh),
                    .detail = "reconnect"});
-        awaiting_handoff_in_.insert(found->mh);
+        net_.mh(found->mh).link(id_).awaiting_handoff_in = true;
         msg::HandoffRequest req{found->mh, id_, /*clears_disconnect=*/true};
         net_.send_wired(id_, found->from, make_control(NodeRef(id_), NodeRef(found->from), req));
       }
@@ -76,9 +98,13 @@ void Mss::dispatch(const Envelope& env) {
 }
 
 void Mss::handle_join(const msg::Join& join) {
-  local_.insert(join.mh);
-  net_.mh(join.mh).complete_join(id_);
-  arrival_seq_[join.mh] = net_.mh(join.mh).joins_completed();
+  auto& host = net_.mh(join.mh);
+  host.link(id_).local = true;
+  host.complete_join(id_);  // MH agents run here: look the record up again
+  const bool needs_handoff = join.prev_mss != kInvalidMss && join.prev_mss != id_;
+  auto& link = host.link(id_);
+  link.arrival_seq = host.joins_completed();
+  if (needs_handoff) link.awaiting_handoff_in = true;
   auto& stats = net_.stats();
   ++stats.joins;
   if (join.reconnect) {
@@ -88,16 +114,13 @@ void Mss::handle_join(const msg::Join& join) {
                .peer = entity_of(id_)});
   }
 
-  const bool needs_handoff = join.prev_mss != kInvalidMss && join.prev_mss != id_;
   if (needs_handoff) {
     ++stats.handoffs;
     net_.emit({.kind = obs::EventKind::kHandoffBegin,
                .entity = entity_of(id_),
                .peer = entity_of(join.prev_mss),
                .arg = index(join.mh)});
-    awaiting_handoff_in_.insert(join.mh);
-    msg::HandoffRequest req{join.mh, id_, join.reconnect,
-                            net_.mh(join.mh).joins_completed()};
+    msg::HandoffRequest req{join.mh, id_, join.reconnect, host.joins_completed()};
     net_.send_wired(id_, join.prev_mss, make_control(NodeRef(id_), NodeRef(join.prev_mss), req));
   } else if (join.reconnect && join.prev_mss == kInvalidMss) {
     // The MH could not supply its previous MSS: query every fixed host.
@@ -119,27 +142,23 @@ void Mss::handle_join(const msg::Join& join) {
 void Mss::handle_leave(const msg::Leave& leave) {
   // A handoff request from the next cell may have overtaken this leave;
   // in that case the MH is already gone and the leave is stale.
-  if (!local_.contains(leave.mh)) return;
+  const auto* link = net_.mh(leave.mh).find_link(id_);
+  if (link == nullptr || !link->local) return;
   // A leave retransmitted over the lossy wireless hop can also trail the
   // MH's re-join into this same cell (FIFO clamps the late copy behind
   // the join): the recorded arrival epoch being newer than the departure
   // this leave describes means the member here is alive, not leaving.
-  if (const auto it = arrival_seq_.find(leave.mh);
-      it != arrival_seq_.end() && it->second > leave.join_seq) {
-    return;
-  }
+  if (link->arrival_seq > leave.join_seq) return;
   ++net_.stats().leaves;
   remove_local(leave.mh);
 }
 
 void Mss::handle_disconnect(const msg::Disconnect& disc) {
-  if (!local_.contains(disc.mh)) return;
+  auto* link = net_.mh(disc.mh).find_link(id_);
+  if (link == nullptr || !link->local) return;
   // Same stale-retransmission guard as handle_leave: never set the
   // disconnected flag for a member whose re-join postdates this message.
-  if (const auto it = arrival_seq_.find(disc.mh);
-      it != arrival_seq_.end() && it->second > disc.join_seq) {
-    return;
-  }
+  if (link->arrival_seq > disc.join_seq) return;
   net_.emit({.kind = obs::EventKind::kDisconnect,
              .entity = entity_of(disc.mh),
              .peer = entity_of(id_)});
@@ -147,16 +166,15 @@ void Mss::handle_disconnect(const msg::Disconnect& disc) {
   // Per §2: delete from the local list but set the "disconnected" flag;
   // the MH is still *located* here for search purposes, so agents get
   // on_mh_disconnected rather than on_mh_left.
-  local_.erase(disc.mh);
-  disconnected_.insert(disc.mh);
+  link->local = false;
+  link->disconnected = true;
   for (auto& [proto, agent] : agents_) agent->on_mh_disconnected(disc.mh);
 }
 
 void Mss::handle_handoff_request(const msg::HandoffRequest& req) {
-  if (local_.contains(req.mh)) {
-    const auto it = arrival_seq_.find(req.mh);
-    const std::uint64_t arrived = it == arrival_seq_.end() ? 0 : it->second;
-    if (req.join_seq > arrived) {
+  auto& host = net_.mh(req.mh);
+  if (const auto* link = host.find_link(id_); link != nullptr && link->local) {
+    if (req.join_seq > link->arrival_seq) {
       // The request overtook the MH's leave(): treat it as the leave.
       ++net_.stats().leaves;
       remove_local(req.mh);
@@ -165,15 +183,18 @@ void Mss::handle_handoff_request(const msg::HandoffRequest& req) {
     // newer than the departure this request describes): keep it local
     // but still answer with state so the requester can unblock.
   }
-  if (req.clears_disconnect && disconnected_.erase(req.mh) > 0) {
+  if (auto* link = host.find_link(id_);
+      req.clears_disconnect && link != nullptr && link->disconnected) {
+    link->disconnected = false;
     for (auto& [proto, agent] : agents_) {
       agent->on_disconnected_mh_migrated(req.mh, req.new_mss);
     }
   }
-  if (awaiting_handoff_in_.contains(req.mh)) {
+  if (auto* link = host.find_link(id_); link != nullptr && link->awaiting_handoff_in) {
     // We have not yet received this MH's state from *its* previous MSS;
     // answering now would drop that state. Defer until it lands.
     deferred_handoff_requests_[req.mh] = req;
+    link->has_deferred = true;
     return;
   }
   send_handoff_state(req.mh, req.new_mss);
@@ -193,12 +214,15 @@ void Mss::handle_handoff_state(const msg::HandoffState& state) {
              .entity = entity_of(id_),
              .peer = entity_of(state.prev_mss),
              .arg = index(state.mh)});
-  awaiting_handoff_in_.erase(state.mh);
+  auto& host = net_.mh(state.mh);
+  if (auto* link = host.find_link(id_)) link->awaiting_handoff_in = false;
   for (const auto& [proto, blob] : state.state) {
     if (auto* target = agent(proto)) target->on_handoff_in(state.mh, state.prev_mss, blob);
   }
-  if (auto it = deferred_handoff_requests_.find(state.mh);
-      it != deferred_handoff_requests_.end()) {
+  if (auto* link = host.find_link(id_); link != nullptr && link->has_deferred) {
+    link->has_deferred = false;
+    const auto it = deferred_handoff_requests_.find(state.mh);
+    assert(it != deferred_handoff_requests_.end());
     const msg::HandoffRequest req = it->second;
     deferred_handoff_requests_.erase(it);
     send_handoff_state(req.mh, req.new_mss);
@@ -212,7 +236,7 @@ void Mss::handle_relay(const Envelope& env) {
 }
 
 void Mss::remove_local(MhId mh) {
-  local_.erase(mh);
+  net_.mh(mh).link(id_).local = false;
   for (auto& [proto, agent] : agents_) agent->on_mh_left(mh);
 }
 

@@ -80,8 +80,8 @@ Network::Network(NetConfig cfg) : cfg_(cfg), rng_(cfg.seed) {
   for (std::uint32_t i = 0; i < cfg_.num_mh; ++i) {
     mh_.push_back(std::make_unique<MobileHost>(*this, static_cast<MhId>(i)));
   }
-  // Initial placement: direct, no protocol traffic. Agents observe it in
-  // on_start via Mss::local_mhs(). Placement draws from the global
+  // Initial placement: direct, no protocol traffic, so it is in place
+  // before any agent's on_start. Placement draws from the global
   // stream even when sharded — it happens before the run, on one
   // thread, and must not depend on the shard count.
   mh_lane_.reserve(cfg_.num_mh);
@@ -270,17 +270,19 @@ sim::Duration Network::sample(std::uint32_t lane, sim::Duration lo, sim::Duratio
   return lo + run_rng(lane).below(hi - lo + 1);
 }
 
-sim::SimTime Network::fifo_arrival(ChannelType type, std::uint32_t a, std::uint32_t b,
-                                   sim::Duration latency) {
-  return fifo_arrival(sl().channels[channel_key(type, a, b)], type, latency);
+sim::SimTime& Network::wired_clock(MssId from, MssId to) {
+  auto& row = mss(from).wired_clock_;
+  if (row.empty()) row.assign(cfg_.num_mss, 0);
+  return row[index(to)];
 }
 
-sim::SimTime Network::fifo_arrival(ChannelState& ch, ChannelType type, sim::Duration latency) {
+sim::SimTime Network::fifo_arrival(sim::SimTime& clock, ChannelType type,
+                                   sim::Duration latency) {
   auto& slice = sl();
   const sim::SimTime natural = slice.sched.now() + latency;
   sim::SimTime arrival = natural;
-  if (arrival < ch.fifo_clock) arrival = ch.fifo_clock;  // never overtake an earlier message
-  ch.fifo_clock = arrival;
+  if (arrival < clock) arrival = clock;  // never overtake an earlier message
+  clock = arrival;
   switch (type) {
     case ChannelType::kWired: slice.queue_delay_wired.record(arrival - natural); break;
     case ChannelType::kDownlink: slice.queue_delay_downlink.record(arrival - natural); break;
@@ -312,7 +314,7 @@ void Network::send_wired(MssId from, MssId to, Envelope env) {
   if (!env.control) sl().ledger.charge_fixed();
   auto latency = sample(index(from), cfg_.latency.wired_min, cfg_.latency.wired_max);
   if (fault_) latency += fault_->draw_wired_spike();
-  const auto arrival = fifo_arrival(ChannelType::kWired, index(from), index(to), latency);
+  const auto arrival = fifo_arrival(wired_clock(from, to), ChannelType::kWired, latency);
   const auto channel = channel_key(ChannelType::kWired, index(from), index(to));
   const auto send_id = emit({.kind = obs::EventKind::kSend,
                              .entity = entity_of(from),
@@ -437,7 +439,7 @@ void Network::transmit_packet(FormationLayer::Packet packet) {
   const auto channel =
       channel_key(ChannelType::kWired, index(packet.from), index(packet.to));
   const auto arrival =
-      fifo_arrival(ChannelType::kWired, index(packet.from), index(packet.to), latency);
+      fifo_arrival(wired_clock(packet.from, packet.to), ChannelType::kWired, latency);
   const auto packet_id = emit({.kind = obs::EventKind::kPacketSend,
                                .entity = entity_of(packet.from),
                                .peer = entity_of(packet.to),
@@ -556,37 +558,6 @@ sim::Duration Network::retransmit_backoff(std::uint32_t attempt) const {
   return std::max<sim::Duration>(base << shift, 1);
 }
 
-bool WseqDedup::deliver(std::uint64_t wseq) {
-  if (wseq <= floor) return false;
-  if (wseq == floor + 1 && above.empty()) {
-    ++floor;  // in-order frame, nothing parked: no set traffic at all
-    return true;
-  }
-  if (above.contains(wseq)) return false;
-  above.insert(wseq);
-  while (above.contains(floor + 1)) {
-    above.erase(floor + 1);
-    ++floor;
-  }
-  // Bound the parked set: a gap older than the retransmit window can
-  // never fill (its sender abandoned the frame), so declare the oldest
-  // gap lost and jump the floor to the smallest parked wseq.
-  while (above.size() > kRetransmitWindow) {
-    floor = *above.begin();
-    above.erase(above.begin());
-    while (above.contains(floor + 1)) {
-      above.erase(floor + 1);
-      ++floor;
-    }
-  }
-  assert(above.size() <= kRetransmitWindow);
-  return true;
-}
-
-bool Network::dedup_deliver(ChannelState& ch, std::uint64_t wseq) {
-  return ch.dedup.deliver(wseq);
-}
-
 void Network::send_wireless_downlink(MssId from, Envelope env, MhId to,
                                      FailCallback on_fail) {
   downlink_attempt(from, std::move(env), to, std::move(on_fail), 0, 0);
@@ -608,7 +579,7 @@ void Network::downlink_attempt(MssId from, Envelope env, MhId to, FailCallback o
     return;
   }
   const auto channel = channel_key(ChannelType::kDownlink, index(from), index(to));
-  auto& chan = sl().channels[channel];
+  auto& chan = host.downlink(from);
   if (attempt == 0) wseq = ++chan.next_wseq;
   const auto send_id = emit({.kind = obs::EventKind::kSend,
                              .entity = entity_of(from),
@@ -653,7 +624,7 @@ void Network::downlink_attempt(MssId from, Envelope env, MhId to, FailCallback o
           .channel = channel,
           .arg = env.proto});
   }
-  const auto arrival = fifo_arrival(chan, ChannelType::kDownlink, latency);
+  const auto arrival = fifo_arrival(chan.fifo_clock, ChannelType::kDownlink, latency);
   sl().sched.schedule_at(arrival, [this, from, to, send_id, channel, wseq, env,
                                    on_fail = std::move(on_fail)]() mutable {
     deliver_downlink_frame(from, to, send_id, channel, wseq, std::move(env),
@@ -662,7 +633,8 @@ void Network::downlink_attempt(MssId from, Envelope env, MhId to, FailCallback o
   if (duplicated) {
     const auto copy_latency =
         fault_->draw_latency(cfg_.latency.wireless_min, cfg_.latency.wireless_max);
-    const auto copy_arrival = fifo_arrival(chan, ChannelType::kDownlink, copy_latency);
+    const auto copy_arrival =
+        fifo_arrival(chan.fifo_clock, ChannelType::kDownlink, copy_latency);
     // No on_fail on the copy: it is link-layer noise, and resurrecting an
     // already-delivered frame through the retry path would ghost-deliver.
     sl().sched.schedule_at(copy_arrival, [this, from, to, send_id, channel, wseq,
@@ -683,7 +655,7 @@ void Network::deliver_downlink_frame(MssId from, MhId to, obs::EventId send_id,
     if (on_fail) on_fail(env);
     return;
   }
-  if (!dedup_deliver(sl().channels[channel], wseq)) {
+  if (!dest.downlink(from).dedup.deliver(wseq)) {
     // A link-layer copy of a frame this MH already consumed: silently
     // suppressed, its send stays unconsumed in the stream.
     ++sl().stats.dup_suppressed;
@@ -719,7 +691,7 @@ void Network::send_wireless_uplink(MhId from, Envelope env) {
 void Network::uplink_attempt(MhId from, MssId target, Envelope env, std::uint64_t epoch,
                              std::uint32_t attempt, std::uint64_t wseq) {
   const auto channel = channel_key(ChannelType::kUplink, index(from), index(target));
-  auto& chan = sl().channels[channel];
+  auto& chan = mh(from).link(target).uplink;
   if (attempt == 0) wseq = ++chan.next_wseq;
   const auto send_id = emit({.kind = obs::EventKind::kSend,
                              .entity = entity_of(from),
@@ -771,9 +743,9 @@ void Network::uplink_attempt(MhId from, MssId target, Envelope env, std::uint64_
           .channel = channel,
           .arg = env.proto});
   }
-  const auto arrival = fifo_arrival(chan, ChannelType::kUplink, latency);
+  const auto arrival = fifo_arrival(chan.fifo_clock, ChannelType::kUplink, latency);
   auto deliver = [this, from, target, send_id, channel, wseq](Envelope frame) {
-    if (!dedup_deliver(sl().channels[channel], wseq)) {
+    if (!mh(from).link(target).uplink.dedup.deliver(wseq)) {
       ++sl().stats.dup_suppressed;
       return;
     }
@@ -790,7 +762,8 @@ void Network::uplink_attempt(MhId from, MssId target, Envelope env, std::uint64_
   if (duplicated) {
     const auto copy_latency =
         fault_->draw_latency(cfg_.latency.wireless_min, cfg_.latency.wireless_max);
-    const auto copy_arrival = fifo_arrival(chan, ChannelType::kUplink, copy_latency);
+    const auto copy_arrival =
+        fifo_arrival(chan.fifo_clock, ChannelType::kUplink, copy_latency);
     sl().sched.schedule_at(copy_arrival,
                            [deliver, env = std::move(env)]() mutable { deliver(std::move(env)); });
   }
@@ -860,7 +833,8 @@ void Network::send_to_mh_attempt(MssId from, Envelope env, MhId to, SendPolicy p
       if (sl().formation) sl().formation->flush_pair(from, at, "barrier");
       auto latency = sample(index(from), cfg_.latency.wired_min, cfg_.latency.wired_max);
       if (fault_) latency += fault_->draw_wired_spike();
-      const auto arrival = fifo_arrival(ChannelType::kWired, index(from), index(at), latency);
+      const auto arrival =
+          fifo_arrival(wired_clock(from, at), ChannelType::kWired, latency);
       const auto channel = channel_key(ChannelType::kWired, index(from), index(at));
       const auto fwd_id = emit({.kind = obs::EventKind::kSend,
                                 .entity = entity_of(from),
@@ -1068,7 +1042,7 @@ void Network::submit_join(MhId from, MssId target, msg::Join join) {
 void Network::join_attempt(MhId from, MssId target, msg::Join join, std::uint32_t attempt,
                            std::uint64_t wseq) {
   const auto channel = channel_key(ChannelType::kUplink, index(from), index(target));
-  auto& chan = sl().channels[channel];
+  auto& chan = mh(from).link(target).uplink;
   if (attempt == 0) wseq = ++chan.next_wseq;
   const auto send_id = emit({.kind = obs::EventKind::kSend,
                              .entity = entity_of(from),
@@ -1110,9 +1084,9 @@ void Network::join_attempt(MhId from, MssId target, msg::Join join, std::uint32_
           .channel = channel,
           .arg = protocol::kSystem});
   }
-  const auto arrival = fifo_arrival(chan, ChannelType::kUplink, latency);
+  const auto arrival = fifo_arrival(chan.fifo_clock, ChannelType::kUplink, latency);
   auto deliver = [this, from, target, send_id, channel, wseq, join]() {
-    if (!dedup_deliver(sl().channels[channel], wseq)) {
+    if (!mh(from).link(target).uplink.dedup.deliver(wseq)) {
       ++sl().stats.dup_suppressed;
       return;
     }
@@ -1130,7 +1104,8 @@ void Network::join_attempt(MhId from, MssId target, msg::Join join, std::uint32_
   if (duplicated) {
     const auto copy_latency =
         fault_->draw_latency(cfg_.latency.wireless_min, cfg_.latency.wireless_max);
-    const auto copy_arrival = fifo_arrival(chan, ChannelType::kUplink, copy_latency);
+    const auto copy_arrival =
+        fifo_arrival(chan.fifo_clock, ChannelType::kUplink, copy_latency);
     sl().sched.schedule_at(copy_arrival, deliver);
   }
 }

@@ -4,13 +4,12 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <unordered_map>
 #include <memory>
-#include <set>
 #include <vector>
 
 #include "cost/cost_model.hpp"
 #include "fault/fault_plane.hpp"
+#include "net/channel.hpp"
 #include "net/envelope.hpp"
 #include "net/formation.hpp"
 #include "net/ids.hpp"
@@ -82,32 +81,6 @@ struct NetConfig {
   /// supports static topologies only (no mobility, no faults); the
   /// mutating entry points throw std::logic_error when sharded.
   std::uint32_t shards = 0;
-};
-
-/// Receiver-side duplicate suppression for reliable wireless channels.
-///
-/// Every wseq <= `floor` has been delivered; delivered wseqs above the
-/// floor park in `above` until the floor catches up. A frame abandoned
-/// mid-retry (its MH left the cell for good) leaves a permanent hole
-/// below later deliveries, so a plain high-water mark would mis-drop
-/// fresh frames — but an unbounded parked set leaks on every abandoned
-/// frame. The set is therefore bounded by the retransmit window: once it
-/// outgrows kRetransmitWindow, no hole that old can still fill (the
-/// sender would have abandoned it), so the oldest gap is declared lost
-/// and the floor jumps forward.
-struct WseqDedup {
-  /// Maximum parked (delivered-out-of-order) wseqs retained; generously
-  /// above any plausible in-flight retransmit depth.
-  static constexpr std::size_t kRetransmitWindow = 64;
-
-  /// Highest wseq below which everything is considered delivered.
-  std::uint64_t floor = 0;
-  /// Delivered wseqs above the floor, waiting for the gap to fill.
-  std::set<std::uint64_t> above;
-
-  /// Record one delivered wseq; false = duplicate, suppress the frame.
-  /// Postcondition: above.size() <= kRetransmitWindow.
-  [[nodiscard]] bool deliver(std::uint64_t wseq);
 };
 
 /// The §2 system model in one object: M MSSs on a reliable FIFO wired
@@ -328,8 +301,8 @@ class Network {
 
   // --- FIFO channel identity ----------------------------------------------
 
-  /// Ordered channels get their own virtual FIFO clock, keyed by
-  /// (channel type, endpoint a, endpoint b).
+  /// Ordered channels get their own virtual FIFO clock; the event
+  /// stream names a channel by (channel type, endpoint a, endpoint b).
   enum class ChannelType : std::uint8_t { kWired, kDownlink, kUplink };
 
   /// Endpoint indices must fit in 30 bits so the packed channel key's
@@ -366,25 +339,16 @@ class Network {
     MssId disconnected_at = kInvalidMss;
   };
 
-  /// Everything keyed by channel lives in one map so the per-message
-  /// hot path does a single hash lookup. `fifo_clock` clamps arrivals
-  /// (never decrease per ordered channel); `next_wseq` is the
-  /// sender-side logical frame number for wireless channels; `dedup` is
-  /// the receiver-side duplicate suppression window (see WseqDedup).
-  struct ChannelState {
-    sim::SimTime fifo_clock = 0;
-    std::uint64_t next_wseq = 0;
-    WseqDedup dedup;
-  };
-
   /// Everything one shard owns and touches from its own thread during a
   /// run: event queue, measurement state (ledger / metrics / stats /
-  /// event ring), FIFO channel clocks, and the formation queues of the
-  /// MSSs it hosts. The legacy engine is exactly one slice driven by
-  /// the calling thread; the sharded engine is min(shards, num_mss)
-  /// slices driven by sim::ShardGroup. Per-slice ownership is what
-  /// makes emit and every cost charge allocation- and contention-free
-  /// under parallel execution.
+  /// event ring), and the formation queues of the MSSs it hosts. Channel
+  /// state is not here: wired FIFO clocks sit in each sending Mss's row,
+  /// wireless channels in each MH's link records, and the shard owning
+  /// the sender (or the cell) is their only writer. The legacy engine is
+  /// exactly one slice driven by the calling thread; the sharded engine
+  /// is min(shards, num_mss) slices driven by sim::ShardGroup.
+  /// Per-slice ownership is what makes emit and every cost charge
+  /// allocation- and contention-free under parallel execution.
   struct ShardSlice {
     sim::Scheduler sched;
     cost::CostLedger ledger;
@@ -412,7 +376,6 @@ class Network {
         metrics.counter("net.formation.deadline_flushes");
     obs::Counter& formation_barrier_flushes =
         metrics.counter("net.formation.barrier_flushes");
-    std::unordered_map<std::uint64_t, ChannelState> channels;
     /// Wired batching queues of this slice's MSSs; null in passthrough
     /// mode so the unbatched wire path never even consults it.
     std::unique_ptr<FormationLayer> formation;
@@ -449,13 +412,13 @@ class Network {
 
   std::uint64_t run_sharded(std::uint64_t event_limit);
 
-  // FIFO clamping: per ordered channel, arrivals never decrease.
-  [[nodiscard]] sim::SimTime fifo_arrival(ChannelType type, std::uint32_t a, std::uint32_t b,
+  /// FIFO clamping: arrivals on one ordered channel never decrease.
+  /// `clock` is that channel's FIFO clock (wired_clock() or a wireless
+  /// ChannelState::fifo_clock); `type` picks the queue-delay histogram.
+  [[nodiscard]] sim::SimTime fifo_arrival(sim::SimTime& clock, ChannelType type,
                                           sim::Duration latency);
-  /// Same, against an already-looked-up channel state (one hash lookup
-  /// per message instead of one per bookkeeping field).
-  [[nodiscard]] sim::SimTime fifo_arrival(ChannelState& ch, ChannelType type,
-                                          sim::Duration latency);
+  /// The FIFO clock of the wired channel from -> to, in from's row.
+  [[nodiscard]] sim::SimTime& wired_clock(MssId from, MssId to);
 
   /// One latency draw from the stream owned by `lane` (the sender's
   /// lane, so the draw sequence is a per-lane pure function).
@@ -571,10 +534,6 @@ class Network {
   bool started_ = false;
 
   std::unique_ptr<fault::FaultPlane> fault_;
-
-  [[nodiscard]] ChannelState& channel_state(std::uint64_t key) { return sl().channels[key]; }
-  /// Receiver-side duplicate suppression; true = first delivery of wseq.
-  [[nodiscard]] static bool dedup_deliver(ChannelState& ch, std::uint64_t wseq);
 };
 
 }  // namespace mobidist::net

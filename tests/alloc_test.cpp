@@ -1,8 +1,9 @@
 // Heap-allocation accounting for the simulation hot path. This suite
 // lives in its own binary because it replaces the global operator new /
 // delete with counting wrappers; the counters let tests assert that the
-// scheduler's schedule -> fire cycle and Body's small-buffer payloads
-// perform no heap traffic at steady state.
+// scheduler's schedule -> fire cycle, Body's small-buffer payloads,
+// event emission and a warm MH move perform no heap traffic at steady
+// state.
 
 #include <cstdint>
 #include <cstdlib>
@@ -12,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include "net/body.hpp"
+#include "net/network.hpp"
 #include "obs/events.hpp"
 #include "sim/scheduler.hpp"
 
@@ -256,6 +258,37 @@ TEST(EventStreamAlloc, SchedulerDrivenEmitDoesNotAllocateAfterWarmup) {
   });
   EXPECT_EQ(count, 0u) << "scheduler-driven emit hot path allocated";
   EXPECT_EQ(stream.emitted(), 101u * 64u);
+}
+
+// The move path's claim: per-(MH, cell) state lives in link records the
+// MH keeps for every cell it has visited, so once a MH has been through
+// both cells (and every channel's dedup state is warm), bouncing between
+// them — leave, join, handoff request and state — is heap-free.
+TEST(MobilityAlloc, WarmBounceBetweenVisitedCellsDoesNotAllocate) {
+  net::NetConfig cfg;
+  cfg.num_mss = 2;
+  cfg.num_mh = 1;
+  cfg.latency.wired_min = cfg.latency.wired_max = 5;
+  cfg.latency.wireless_min = cfg.latency.wireless_max = 2;
+  net::Network net(cfg);
+  net.start();
+  const auto mh = static_cast<net::MhId>(0);
+  auto bounce = [&] {
+    net.mh(mh).move_to(static_cast<net::MssId>(1), 10);
+    net.run();
+    net.mh(mh).move_to(static_cast<net::MssId>(0), 10);
+    net.run();
+  };
+
+  bounce();  // warm-up: link records, scheduler slots, interned tags
+  bounce();
+  constexpr int kBounces = 100;
+  const auto count = allocations_during([&] {
+    for (int i = 0; i < kBounces; ++i) bounce();
+  });
+  EXPECT_EQ(count, 0u) << "warm bounce allocated " << count / kBounces << " times per bounce";
+  EXPECT_EQ(net.stats().handoffs, 2u * (kBounces + 2));
+  EXPECT_EQ(net.current_mss_of(mh), static_cast<net::MssId>(0));
 }
 
 }  // namespace

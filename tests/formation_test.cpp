@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -384,6 +386,100 @@ TEST(WseqDedup, PermanentHoleNoLongerBalloonsParkedSet) {
   // pathologically late copy is suppressed as a duplicate (the
   // documented trade for bounded memory).
   EXPECT_FALSE(d.deliver(1));
+}
+
+// Differential check of WseqDedup against the original std::set
+// formulation of the same algorithm, kept here verbatim as the
+// reference: every return value, floor and parked set must agree.
+struct SetWseqDedup {
+  std::uint64_t floor = 0;
+  std::set<std::uint64_t> above;
+
+  bool deliver(std::uint64_t wseq) {
+    if (wseq <= floor) return false;
+    if (wseq == floor + 1 && above.empty()) {
+      ++floor;
+      return true;
+    }
+    if (above.contains(wseq)) return false;
+    above.insert(wseq);
+    while (above.contains(floor + 1)) {
+      above.erase(floor + 1);
+      ++floor;
+    }
+    while (above.size() > WseqDedup::kRetransmitWindow) {
+      floor = *above.begin();
+      above.erase(above.begin());
+      while (above.contains(floor + 1)) {
+        above.erase(floor + 1);
+        ++floor;
+      }
+    }
+    return true;
+  }
+};
+
+/// A seeded wseq stream: frames 1..length, some dropped for good
+/// (permanent holes), locally reordered within `reorder` positions, and
+/// with repeats of recent or long-delivered frames mixed in.
+std::vector<std::uint64_t> wseq_stream(sim::Rng& rng, std::uint64_t length, double hole_p,
+                                       std::uint64_t reorder, double dup_p) {
+  std::vector<std::uint64_t> frames;
+  for (std::uint64_t w = 1; w <= length; ++w) {
+    if (!rng.chance(hole_p)) frames.push_back(w);
+  }
+  for (std::size_t i = 0; reorder > 0 && i < frames.size(); ++i) {
+    const auto j = i + rng.below(std::min<std::uint64_t>(reorder, frames.size() - i));
+    std::swap(frames[i], frames[j]);
+  }
+  std::vector<std::uint64_t> stream;
+  for (const auto w : frames) {
+    stream.push_back(w);
+    if (rng.chance(dup_p)) {
+      const auto back = rng.below(std::min<std::size_t>(stream.size(), 8));
+      stream.push_back(stream[stream.size() - 1 - back]);
+    }
+    if (rng.chance(dup_p / 4)) stream.push_back(1 + rng.below(w));
+  }
+  return stream;
+}
+
+TEST(WseqDedup, MatchesTheSetReferenceOnSeededStreams) {
+  struct Shape {
+    double hole_p;
+    std::uint64_t reorder;
+    double dup_p;
+  };
+  const Shape shapes[] = {
+      {0.0, 0, 0.0},     // in order
+      {0.0, 0, 0.3},     // duplicates only
+      {0.0, 8, 0.1},     // reordering
+      {0.05, 4, 0.1},    // permanent holes
+      {0.02, 200, 0.05}, // far reordering: more than 64 frames parked
+  };
+  std::size_t max_parked = 0;
+  std::size_t suppressed = 0;
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    const auto& shape = shapes[seed % std::size(shapes)];
+    sim::Rng rng(seed);
+    const auto stream = wseq_stream(rng, 2000, shape.hole_p, shape.reorder, shape.dup_p);
+    WseqDedup flat;
+    SetWseqDedup ref;
+    for (std::size_t step = 0; step < stream.size(); ++step) {
+      const auto w = stream[step];
+      const bool got = flat.deliver(w);
+      ASSERT_EQ(got, ref.deliver(w)) << "seed " << seed << " step " << step << " wseq " << w;
+      ASSERT_EQ(flat.floor, ref.floor) << "seed " << seed << " step " << step;
+      ASSERT_EQ(std::vector<std::uint64_t>(flat.above.begin(), flat.above.end()),
+                std::vector<std::uint64_t>(ref.above.begin(), ref.above.end()))
+          << "seed " << seed << " step " << step;
+      max_parked = std::max(max_parked, flat.above.size());
+      if (!got) ++suppressed;
+    }
+  }
+  // The streams must reach the window bound and exercise suppression.
+  EXPECT_EQ(max_parked, WseqDedup::kRetransmitWindow);
+  EXPECT_GT(suppressed, 0u);
 }
 
 TEST(WseqDedup, ChaosProfileKeepsWindowBoundedEndToEnd) {

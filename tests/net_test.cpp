@@ -278,6 +278,113 @@ TEST(Mobility, RapidDoubleMoveChainsHandoffState) {
 }
 
 // --------------------------------------------------------------------------
+// Membership guards: control messages dispatched straight into an MSS
+// --------------------------------------------------------------------------
+
+/// Hand `body` to `at` as if it had just arrived over the wire.
+template <typename T>
+void dispatch_control(Network& net, MssId at, T body) {
+  net.mss(at).dispatch(make_control(NodeRef(at), NodeRef(at), std::move(body)));
+}
+
+bool has_event(const std::vector<std::string>& events, const std::string& ev) {
+  return std::find(events.begin(), events.end(), ev) != events.end();
+}
+
+TEST(MembershipGuard, StaleLeaveAndDisconnectAreIgnored) {
+  Network net(small_config(3, 6));
+  Harness h(net);
+  net.start();
+  net.mh(mh_id(0)).move_to(mss_id(1), 10);
+  net.run();
+  ASSERT_EQ(net.mh(mh_id(0)).joins_completed(), 1u);
+  const auto leaves = net.stats().leaves;
+  // Both describe a departure from before the MH's arrival (join_seq 0).
+  dispatch_control(net, mss_id(1), msg::Leave{mh_id(0), 0, 0});
+  dispatch_control(net, mss_id(1), msg::Disconnect{mh_id(0), 0, 0});
+  EXPECT_TRUE(net.mss(mss_id(1)).is_local(mh_id(0)));
+  EXPECT_FALSE(net.mss(mss_id(1)).has_disconnected_flag(mh_id(0)));
+  EXPECT_EQ(net.stats().leaves, leaves);
+  EXPECT_EQ(net.stats().disconnects, 0u);
+  EXPECT_FALSE(has_event(h.mss[1]->events, "left:mh:0"));
+  // A leave describing the current stay is honoured.
+  dispatch_control(net, mss_id(1), msg::Leave{mh_id(0), 0, 1});
+  EXPECT_FALSE(net.mss(mss_id(1)).is_local(mh_id(0)));
+  EXPECT_EQ(net.stats().leaves, leaves + 1);
+  EXPECT_TRUE(has_event(h.mss[1]->events, "left:mh:0"));
+}
+
+TEST(MembershipGuard, HandoffRequestOvertakingTheLeaveRemovesTheMember) {
+  Network net(small_config(3, 6));
+  Harness h(net);
+  h.mss[0]->handoff_blob = std::string("cell0");
+  net.start();
+  // mh0 sits in cell 0 from placement; its next join would be number 1.
+  dispatch_control(net, mss_id(0), msg::HandoffRequest{mh_id(0), mss_id(1), false, 1});
+  EXPECT_FALSE(net.mss(mss_id(0)).is_local(mh_id(0)));
+  EXPECT_EQ(net.stats().leaves, 1u);
+  EXPECT_TRUE(has_event(h.mss[0]->events, "left:mh:0"));
+  EXPECT_EQ(h.mss[0]->events.back(), "handoff_out:mh:0");
+  net.run();
+  EXPECT_TRUE(has_event(h.mss[1]->events, "handoff_in:mh:0<-mss:0"));
+}
+
+TEST(MembershipGuard, RequestForABouncedBackMemberKeepsItLocalButAnswers) {
+  Network net(small_config(3, 6));
+  Harness h(net);
+  h.mss[0]->handoff_blob = std::string("cell0");
+  net.start();
+  // Leave and re-join cell 0: the arrival there is now join number 1.
+  net.mh(mh_id(0)).move_to(mss_id(0), 10);
+  net.run();
+  ASSERT_EQ(net.mh(mh_id(0)).joins_completed(), 1u);
+  const auto leaves = net.stats().leaves;
+  // A request describing the departure before that re-arrival.
+  dispatch_control(net, mss_id(0), msg::HandoffRequest{mh_id(0), mss_id(1), false, 1});
+  EXPECT_TRUE(net.mss(mss_id(0)).is_local(mh_id(0)));
+  EXPECT_EQ(net.stats().leaves, leaves);
+  EXPECT_EQ(h.mss[0]->events.back(), "handoff_out:mh:0");
+  net.run();
+  EXPECT_TRUE(has_event(h.mss[1]->events, "handoff_in:mh:0<-mss:0"));
+}
+
+TEST(MembershipGuard, RequestWhileAwaitingStateIsDeferredUntilStateLands) {
+  Network net(small_config(3, 6));
+  Harness h(net);
+  h.mss[0]->handoff_blob = std::string("cell0");
+  h.mss[1]->forward_handoff = true;
+  net.start();
+  // Fixed latencies: the join lands at cell 1 at t=12, its handoff
+  // request reaches cell 0 at t=17 and cell 0's state returns at t=22.
+  net.mh(mh_id(0)).move_to(mss_id(1), 10);
+  net.sched().run_until(14);
+  ASSERT_TRUE(net.mss(mss_id(1)).is_local(mh_id(0)));
+  ASSERT_FALSE(has_event(h.mss[1]->events, "handoff_in:mh:0<-mss:0"));
+  dispatch_control(net, mss_id(1), msg::HandoffRequest{mh_id(0), mss_id(2), false, 2});
+  EXPECT_FALSE(net.mss(mss_id(1)).is_local(mh_id(0)));
+  EXPECT_FALSE(has_event(h.mss[1]->events, "handoff_out:mh:0")) << "answered too early";
+  net.run();
+  const auto& events = h.mss[1]->events;
+  const auto in = std::find(events.begin(), events.end(), "handoff_in:mh:0<-mss:0");
+  const auto out = std::find(events.begin(), events.end(), "handoff_out:mh:0");
+  ASSERT_NE(in, events.end());
+  ASSERT_NE(out, events.end());
+  EXPECT_LT(in, out) << "the deferred request must wait for the state";
+  EXPECT_TRUE(has_event(h.mss[2]->events, "handoff_in:mh:0<-mss:1"));
+}
+
+TEST(MembershipGuard, LocalMhsAreListedInAscendingOrder) {
+  Network net(small_config(3, 7));  // cell 1 starts with mh 1 and 4
+  net.start();
+  net.mh(mh_id(6)).move_to(mss_id(1), 10);
+  net.mh(mh_id(0)).move_to(mss_id(1), 20);
+  net.run();
+  const auto& local = net.mss(mss_id(1)).local_mhs();
+  const std::vector<MhId> ids(local.begin(), local.end());
+  EXPECT_EQ(ids, (std::vector<MhId>{mh_id(0), mh_id(1), mh_id(4), mh_id(6)}));
+}
+
+// --------------------------------------------------------------------------
 // send_to_mh / search
 // --------------------------------------------------------------------------
 
