@@ -778,10 +778,8 @@ void build_scale(ScenarioContext& ctx) {
 
 // --- harvest ---------------------------------------------------------------
 
-/// `merged` is the canonical merged trace when the run used the sharded
-/// engine (whose per-shard streams it supersedes), nullptr for legacy.
 void harvest(RunResult& result, const ScenarioSpec& spec, const net::Network& net,
-             ScenarioContext& ctx, const std::vector<obs::Event>* merged) {
+             ScenarioContext& ctx) {
   auto& m = result.metrics;
   const auto& ledger = net.ledger();
   m["cost.total"] = ledger.total(spec.cost);
@@ -796,20 +794,8 @@ void harvest(RunResult& result, const ScenarioSpec& spec, const net::Network& ne
   m["sched.hit_event_limit"] = net.hit_event_limit() ? 1.0 : 0.0;
   m["events.emitted"] = static_cast<double>(net.events_emitted());
   m["events.dropped"] = static_cast<double>(net.events_dropped());
-
-  std::uint64_t crashes = 0;
-  std::uint64_t recoveries = 0;
-  const auto count_event = [&](const obs::Event& event) {
-    if (event.kind == obs::EventKind::kMssCrash) ++crashes;
-    if (event.kind == obs::EventKind::kMssRecover) ++recoveries;
-  };
-  if (merged != nullptr) {
-    for (const auto& event : *merged) count_event(event);
-  } else {
-    net.events().for_each(count_event);
-  }
-  m["events.mss_crash"] = static_cast<double>(crashes);
-  m["events.mss_recover"] = static_cast<double>(recoveries);
+  m["events.mss_crash"] = static_cast<double>(net.mss_crashes());
+  m["events.mss_recover"] = static_cast<double>(net.mss_recoveries());
 
   for (const auto& [name, counter] : net.metrics().counters()) {
     m[name] = static_cast<double>(counter.value());
@@ -960,7 +946,7 @@ RunResult run_scenario(const RunPlan& plan, const WorkloadLibrary& workloads) {
       return result;
     }
 
-    harvest(result, spec, net, ctx, net.sharded() ? &merged : nullptr);
+    harvest(result, spec, net, ctx);
     result.ok = true;
 
     const std::string trace_dir = core::resolve_env_dir("MOBIDIST_TRACE_DIR", "");

@@ -186,6 +186,7 @@ fault::FaultPlane& Network::install_fault_plane(fault::FaultProfile profile) {
   for (const auto& crash : fault_->profile().crashes) {
     slices_[0]->sched.schedule_at(crash.at, [this, crash]() { begin_crash(crash); });
     slices_[0]->sched.schedule_at(crash.at + crash.down_for, [this, mss = crash.mss]() {
+      ++mss_recoveries_;
       emit({.kind = obs::EventKind::kMssRecover, .entity = obs::Entity::mss(mss)});
     });
   }
@@ -193,6 +194,7 @@ fault::FaultPlane& Network::install_fault_plane(fault::FaultProfile profile) {
 }
 
 void Network::begin_crash(const fault::MssCrash& crash) {
+  ++mss_crashes_;
   emit({.kind = obs::EventKind::kMssCrash,
         .entity = obs::Entity::mss(crash.mss),
         .arg = crash.down_for});
@@ -297,14 +299,16 @@ void Network::send_wired(MssId from, MssId to, Envelope env) {
   if (from == to) {
     // Local dispatch: free, but still through the event queue so agent
     // reentrancy is impossible. Channel 0: self-sends are unordered
-    // relative to wired traffic.
+    // relative to wired traffic. A crashed station's self-send waits for
+    // its recovery like any other wired message.
     const auto send_id = emit({.kind = obs::EventKind::kSend,
                                .entity = entity_of(from),
                                .peer = entity_of(to),
                                .arg = env.proto});
-    sl().sched.schedule(0, [this, from, to, send_id, env = std::move(env)]() mutable {
-      arrive_wired(from, to, send_id, 0, std::move(env));
-    });
+    sl().sched.schedule_at(wired_hold(from, to, sl().sched.now()),
+                           [this, from, to, send_id, env = std::move(env)]() mutable {
+                             arrive_wired(from, to, send_id, 0, std::move(env));
+                           });
     return;
   }
   if (sl().formation) {
@@ -312,9 +316,7 @@ void Network::send_wired(MssId from, MssId to, Envelope env) {
     return;
   }
   if (!env.control) sl().ledger.charge_fixed();
-  auto latency = sample(index(from), cfg_.latency.wired_min, cfg_.latency.wired_max);
-  if (fault_) latency += fault_->draw_wired_spike();
-  const auto arrival = fifo_arrival(wired_clock(from, to), ChannelType::kWired, latency);
+  const auto arrival = wired_arrival(from, to);
   const auto channel = channel_key(ChannelType::kWired, index(from), index(to));
   const auto send_id = emit({.kind = obs::EventKind::kSend,
                              .entity = entity_of(from),
@@ -341,24 +343,29 @@ void Network::send_wired(MssId from, MssId to, Envelope env) {
   });
 }
 
+sim::SimTime Network::wired_hold(MssId from, MssId to, sim::SimTime at) {
+  if (!fault_) return at;
+  while (true) {
+    const auto release = fault_->wired_release_at(index(from), index(to), at);
+    if (release <= at) return at;
+    fault_->count_deferral();
+    at = release;
+  }
+}
+
+sim::SimTime Network::wired_arrival(MssId from, MssId to) {
+  auto latency = sample(index(from), cfg_.latency.wired_min, cfg_.latency.wired_max);
+  if (fault_) latency += fault_->draw_wired_spike();
+  // The outage hold is part of the transit, ahead of the FIFO clamp: the
+  // channel's clock moves to the release instant, so a later send is
+  // clamped behind the held message instead of landing first.
+  const auto now = sl().sched.now();
+  latency = wired_hold(from, to, now + latency) - now;
+  return fifo_arrival(wired_clock(from, to), ChannelType::kWired, latency);
+}
+
 void Network::arrive_wired(MssId from, MssId to, obs::EventId send_id, std::uint64_t channel,
                            Envelope env, std::uint64_t send_clock) {
-  if (fault_) {
-    // A crashed (or partitioned-off) destination leaves the message
-    // waiting at its network interface; re-offer it when the outage
-    // window closes. Deferrals preserve per-channel FIFO order: every
-    // arrival during one window reschedules to the same release instant,
-    // and the scheduler breaks same-instant ties in scheduling order.
-    const auto release = fault_->wired_release_at(index(from), index(to), sl().sched.now());
-    if (release > sl().sched.now()) {
-      fault_->count_deferral();
-      sl().sched.schedule_at(release, [this, from, to, send_id, channel, send_clock,
-                                       env = std::move(env)]() mutable {
-        arrive_wired(from, to, send_id, channel, std::move(env), send_clock);
-      });
-      return;
-    }
-  }
   const auto recv_id = emit({.kind = obs::EventKind::kRecv,
                              .entity = entity_of(to),
                              .peer = entity_of(from),
@@ -368,31 +375,6 @@ void Network::arrive_wired(MssId from, MssId to, obs::EventId send_id, std::uint
                              .cause_clock = send_clock});
   obs::CauseScope scope(sl().events, recv_id);
   deliver_wired(to, std::move(env));
-}
-
-void Network::arrive_deferred(MssId from, MssId at, obs::EventId send_id,
-                              std::uint64_t channel, ProtocolId proto,
-                              std::string_view detail, std::function<void()> deliver) {
-  if (fault_) {
-    const auto release = fault_->wired_release_at(index(from), index(at), sl().sched.now());
-    if (release > sl().sched.now()) {
-      fault_->count_deferral();
-      sl().sched.schedule_at(release, [this, from, at, send_id, channel, proto, detail,
-                                       deliver = std::move(deliver)]() mutable {
-        arrive_deferred(from, at, send_id, channel, proto, detail, std::move(deliver));
-      });
-      return;
-    }
-  }
-  const auto recv_id = emit({.kind = obs::EventKind::kRecv,
-                             .entity = entity_of(at),
-                             .peer = entity_of(from),
-                             .cause = send_id,
-                             .channel = channel,
-                             .arg = proto,
-                             .detail = detail});
-  obs::CauseScope scope(sl().events, recv_id);
-  deliver();
 }
 
 void Network::deliver_wired(MssId to, Envelope env) {
@@ -434,12 +416,9 @@ void Network::transmit_packet(FormationLayer::Packet packet) {
   if (carries_charged) slice.ledger.charge_wired_packet();
   // One latency draw and one FIFO clamp for the whole packet: the wire
   // sees a single transmission.
-  auto latency = sample(index(packet.from), cfg_.latency.wired_min, cfg_.latency.wired_max);
-  if (fault_) latency += fault_->draw_wired_spike();
+  const auto arrival = wired_arrival(packet.from, packet.to);
   const auto channel =
       channel_key(ChannelType::kWired, index(packet.from), index(packet.to));
-  const auto arrival =
-      fifo_arrival(wired_clock(packet.from, packet.to), ChannelType::kWired, latency);
   const auto packet_id = emit({.kind = obs::EventKind::kPacketSend,
                                .entity = entity_of(packet.from),
                                .peer = entity_of(packet.to),
@@ -487,22 +466,6 @@ void Network::transmit_packet(FormationLayer::Packet packet) {
 void Network::arrive_packet(FormationLayer::Packet packet, obs::EventId packet_id,
                             std::uint64_t channel, std::uint64_t packet_clock,
                             std::vector<std::uint64_t> item_clocks) {
-  if (fault_) {
-    // Same deferral rule as arrive_wired: a crashed or partitioned-off
-    // destination holds the whole packet at its interface.
-    const auto release =
-        fault_->wired_release_at(index(packet.from), index(packet.to), sl().sched.now());
-    if (release > sl().sched.now()) {
-      fault_->count_deferral();
-      sl().sched.schedule_at(release, [this, packet = std::move(packet), packet_id, channel,
-                                       packet_clock,
-                                       item_clocks = std::move(item_clocks)]() mutable {
-        arrive_packet(std::move(packet), packet_id, channel, packet_clock,
-                      std::move(item_clocks));
-      });
-      return;
-    }
-  }
   emit({.kind = obs::EventKind::kPacketFlush,
         .entity = entity_of(packet.to),
         .peer = entity_of(packet.from),
@@ -558,58 +521,160 @@ sim::Duration Network::retransmit_backoff(std::uint32_t attempt) const {
   return std::max<sim::Duration>(base << shift, 1);
 }
 
+/// When a dropped frame stops being retransmitted.
+enum class Network::RetryGuard : std::uint8_t {
+  kInCell,     ///< downlink: the MH left the cell (the frame fails over to on_fail)
+  kJoinEpoch,  ///< system uplink: the MH completed another join since sending
+  kJoining,    ///< join: the MH is connected (an earlier copy landed)
+  kNever,      ///< data uplink: the link layer owes delivery to the cell it was sent in
+};
+
+/// One reliable wireless frame between a MH and the station of the
+/// cell it was sent in, carried unchanged across its retransmissions.
+struct Network::WirelessFrame {
+  Envelope env;
+  MssId mss;                 ///< the cell's station: downlink sender, uplink target
+  MhId mh;
+  ChannelType dir;           ///< kDownlink (mss -> mh) or kUplink (mh -> mss)
+  RetryGuard guard;
+  bool join = false;         ///< tags "join"/"join retx" instead of ""/"retx"
+  std::uint32_t attempt = 0;
+  std::uint64_t epoch = 0;   ///< the MH's joins_completed() at first transmission
+  std::uint64_t wseq = 0;    ///< assigned at attempt 0
+
+  [[nodiscard]] bool downlink() const noexcept { return dir == ChannelType::kDownlink; }
+  [[nodiscard]] obs::Entity sender() const noexcept {
+    return downlink() ? entity_of(mss) : entity_of(mh);
+  }
+  [[nodiscard]] obs::Entity receiver() const noexcept {
+    return downlink() ? entity_of(mh) : entity_of(mss);
+  }
+  [[nodiscard]] std::uint64_t channel() const noexcept {
+    return downlink() ? channel_key(dir, index(mss), index(mh))
+                      : channel_key(dir, index(mh), index(mss));
+  }
+};
+
 void Network::send_wireless_downlink(MssId from, Envelope env, MhId to,
                                      FailCallback on_fail) {
-  downlink_attempt(from, std::move(env), to, std::move(on_fail), 0, 0);
+  wireless_attempt({.env = std::move(env),
+                    .mss = from,
+                    .mh = to,
+                    .dir = ChannelType::kDownlink,
+                    .guard = RetryGuard::kInCell},
+                   std::move(on_fail));
 }
 
-void Network::downlink_attempt(MssId from, Envelope env, MhId to, FailCallback on_fail,
-                               std::uint32_t attempt, std::uint64_t wseq) {
-  auto& host = mh(to);
-  if (host.current_mss() != from) {
-    // Already gone: fail asynchronously so callers see uniform behaviour.
-    // Retransmission stops here too — the sender's link layer only
-    // promises delivery while the MH stays in this cell; the send_to_mh
-    // chase re-searches from scratch.
+void Network::send_wireless_uplink(MhId from, Envelope env) {
+  auto& host = mh(from);
+  if (!host.connected()) {
+    throw std::logic_error("send_wireless_uplink: " + to_string(from) + " is not in a cell");
+  }
+  if (!env.control) {
+    sl().ledger.charge_wireless(index(from), /*mh_transmitted=*/true);
+  } else {
+    ++sl().stats.control_msgs;
+  }
+  // Leave/Disconnect frames describe a departure the §2 join/handoff
+  // protocol has already superseded once the MH completed another join;
+  // delivering a stale copy then could only evict a live member. Every
+  // other uplink keeps retrying: the link layer owes eventual delivery
+  // to the cell the frame was sent in, no matter where the MH went since.
+  const auto guard = env.proto == protocol::kSystem ? RetryGuard::kJoinEpoch : RetryGuard::kNever;
+  wireless_attempt({.env = std::move(env),
+                    .mss = host.current_mss(),
+                    .mh = from,
+                    .dir = ChannelType::kUplink,
+                    .guard = guard,
+                    .epoch = host.joins_completed()},
+                   {});
+}
+
+void Network::submit_join(MhId from, MssId target, msg::Join join) {
+  require_legacy("submit_join()");
+  ++sl().stats.control_msgs;
+  // Joining is the one state a MH cannot leave on its own
+  // (move_to/disconnect require connectivity), so retry until the join
+  // lands.
+  wireless_attempt({.env = make_control(NodeRef(join.mh), NodeRef(target), join),
+                    .mss = target,
+                    .mh = from,
+                    .dir = ChannelType::kUplink,
+                    .guard = RetryGuard::kJoining,
+                    .join = true},
+                   {});
+}
+
+ChannelState& Network::wireless_channel(const WirelessFrame& frame) {
+  auto& host = mh(frame.mh);
+  return frame.downlink() ? host.downlink(frame.mss) : host.link(frame.mss).uplink;
+}
+
+bool Network::retry_wanted(const WirelessFrame& frame) const {
+  const auto& host = mh(frame.mh);
+  switch (frame.guard) {
+    case RetryGuard::kInCell: return host.current_mss() == frame.mss;
+    case RetryGuard::kJoinEpoch: return host.joins_completed() == frame.epoch;
+    case RetryGuard::kJoining: return !host.connected();
+    case RetryGuard::kNever: break;
+  }
+  return true;
+}
+
+void Network::wireless_attempt(WirelessFrame frame, FailCallback on_fail) {
+  // The retry and landing closures carry the frame, the failure callback
+  // and two words; they must fit SmallFn's inline buffer, or every
+  // scheduled frame would allocate.
+  static_assert(sizeof(WirelessFrame) + sizeof(FailCallback) + 2 * sizeof(std::uint64_t) <=
+                sim::SmallFn::kInlineCapacity);
+  // A downlink also checks before its first transmission: the MH must be
+  // local to the sender right now.
+  if ((frame.attempt > 0 || frame.downlink()) && !retry_wanted(frame)) {
+    // Already gone: fail asynchronously so callers see uniform
+    // behaviour. The sender's link layer only promises delivery while
+    // the MH stays in this cell; the send_to_mh chase re-searches from
+    // scratch.
     if (on_fail) {
-      sl().sched.schedule(0, [on_fail = std::move(on_fail), env = std::move(env)]() {
+      sl().sched.schedule(0, [on_fail = std::move(on_fail), env = std::move(frame.env)]() {
         on_fail(env);
       });
     }
     return;
   }
-  const auto channel = channel_key(ChannelType::kDownlink, index(from), index(to));
-  auto& chan = host.downlink(from);
-  if (attempt == 0) wseq = ++chan.next_wseq;
+  const auto channel = frame.channel();
+  auto& chan = wireless_channel(frame);
+  const bool first = frame.attempt == 0;
+  if (first) frame.wseq = ++chan.next_wseq;
   const auto send_id = emit({.kind = obs::EventKind::kSend,
-                             .entity = entity_of(from),
-                             .peer = entity_of(to),
+                             .entity = frame.sender(),
+                             .peer = frame.receiver(),
                              .channel = channel,
-                             .arg = env.proto,
-                             .detail = attempt == 0 ? "" : "retx"});
+                             .arg = frame.env.proto,
+                             .detail = frame.join ? (first ? "join" : "join retx")
+                                                  : (first ? "" : "retx")});
   const char* why = nullptr;
-  if (wireless_frame_lost(index(from), &why)) {
+  if (wireless_frame_lost(index(frame.mss), &why)) {
     const auto drop_id = emit({.kind = obs::EventKind::kMsgDropped,
-                               .entity = entity_of(from),
-                               .peer = entity_of(to),
+                               .entity = frame.sender(),
+                               .peer = frame.receiver(),
                                .cause = send_id,
                                .channel = channel,
-                               .arg = env.proto,
+                               .arg = frame.env.proto,
                                .detail = why});
     ++sl().stats.retransmissions;
-    sl().delivery_retry_depth.record(attempt + 1);
-    sl().sched.schedule(retransmit_backoff(attempt),
-                        [this, from, to, attempt, wseq, cause = drop_id, env = std::move(env),
-                         on_fail = std::move(on_fail)]() mutable {
-                          obs::CauseScope scope(sl().events, cause);
-                          downlink_attempt(from, std::move(env), to, std::move(on_fail),
-                                           attempt + 1, wseq);
-                        });
+    sl().delivery_retry_depth.record(frame.attempt + 1);
+    const auto backoff = retransmit_backoff(frame.attempt);
+    ++frame.attempt;
+    sl().sched.schedule(backoff, [this, cause = drop_id, frame = std::move(frame),
+                                  on_fail = std::move(on_fail)]() mutable {
+      obs::CauseScope scope(sl().events, cause);
+      wireless_attempt(std::move(frame), std::move(on_fail));
+    });
     return;
   }
-  // The downlink is in-cell traffic: the MH's lane is its cell, so the
-  // draw belongs to the sender MSS's lane either way.
-  auto latency = sample(index(from), cfg_.latency.wireless_min, cfg_.latency.wireless_max);
+  // Wireless traffic stays inside the cell: the MH's lane is its cell,
+  // so the draw belongs to the cell's station lane in either direction.
+  auto latency = sample(index(frame.mss), cfg_.latency.wireless_min, cfg_.latency.wireless_max);
   const bool duplicated = fault_ && fault_->draw_wireless_dup();
   if (fault_) latency += fault_->draw_wireless_spike();
   if (duplicated) {
@@ -618,154 +683,70 @@ void Network::downlink_attempt(MssId from, Envelope env, MhId to, FailCallback o
     // always sees (and suppresses) the copy second.
     fault_->count_dup();
     emit({.kind = obs::EventKind::kMsgDuplicated,
-          .entity = entity_of(from),
-          .peer = entity_of(to),
+          .entity = frame.sender(),
+          .peer = frame.receiver(),
           .cause = send_id,
           .channel = channel,
-          .arg = env.proto});
+          .arg = frame.env.proto});
   }
-  const auto arrival = fifo_arrival(chan.fifo_clock, ChannelType::kDownlink, latency);
-  sl().sched.schedule_at(arrival, [this, from, to, send_id, channel, wseq, env,
-                                   on_fail = std::move(on_fail)]() mutable {
-    deliver_downlink_frame(from, to, send_id, channel, wseq, std::move(env),
-                           std::move(on_fail));
-  });
-  if (duplicated) {
-    const auto copy_latency =
-        fault_->draw_latency(cfg_.latency.wireless_min, cfg_.latency.wireless_max);
-    const auto copy_arrival =
-        fifo_arrival(chan.fifo_clock, ChannelType::kDownlink, copy_latency);
-    // No on_fail on the copy: it is link-layer noise, and resurrecting an
-    // already-delivered frame through the retry path would ghost-deliver.
-    sl().sched.schedule_at(copy_arrival, [this, from, to, send_id, channel, wseq,
-                                          env = std::move(env)]() mutable {
-      deliver_downlink_frame(from, to, send_id, channel, wseq, std::move(env), {});
+  const auto land_at = [this, send_id](sim::SimTime at, WirelessFrame landing,
+                                       FailCallback fail) {
+    sl().sched.schedule_at(at, [this, send_id, landing = std::move(landing),
+                                fail = std::move(fail)]() {
+      land_wireless(landing, send_id, fail);
     });
+  };
+  const auto arrival = fifo_arrival(chan.fifo_clock, frame.dir, latency);
+  if (!duplicated) {
+    land_at(arrival, std::move(frame), std::move(on_fail));
+    return;
   }
+  land_at(arrival, frame, std::move(on_fail));
+  const auto copy_latency =
+      fault_->draw_latency(cfg_.latency.wireless_min, cfg_.latency.wireless_max);
+  const auto copy_arrival = fifo_arrival(chan.fifo_clock, frame.dir, copy_latency);
+  // No on_fail on the copy: it is link-layer noise, and resurrecting an
+  // already-delivered frame through the retry path would ghost-deliver.
+  land_at(copy_arrival, std::move(frame), {});
 }
 
-void Network::deliver_downlink_frame(MssId from, MhId to, obs::EventId send_id,
-                                     std::uint64_t channel, std::uint64_t wseq, Envelope env,
-                                     FailCallback on_fail) {
-  auto& dest = mh(to);
-  if (dest.current_mss() != from) {
+void Network::land_wireless(const WirelessFrame& frame, obs::EventId send_id,
+                            const FailCallback& on_fail) {
+  auto& host = mh(frame.mh);
+  if (frame.downlink() && host.current_mss() != frame.mss) {
     // The MH left between transmission and (would-be) reception: the
     // frame is lost in the old cell — §2's prefix-delivery rule. No
     // recv event: the send stays unconsumed in the stream.
-    if (on_fail) on_fail(env);
+    if (on_fail) on_fail(frame.env);
     return;
   }
-  if (!dest.downlink(from).dedup.deliver(wseq)) {
-    // A link-layer copy of a frame this MH already consumed: silently
-    // suppressed, its send stays unconsumed in the stream.
+  if (!wireless_channel(frame).dedup.deliver(frame.wseq)) {
+    // A link-layer copy of a frame the receiver already consumed:
+    // silently suppressed, its send stays unconsumed in the stream.
     ++sl().stats.dup_suppressed;
     return;
   }
-  if (!env.control) sl().ledger.charge_wireless(index(to), /*mh_transmitted=*/false);
-  if (env.control) ++sl().stats.control_msgs;
-  if (dest.dozing()) ++sl().stats.doze_interruptions;
-  const auto recv_id = emit({.kind = obs::EventKind::kRecv,
-                             .entity = entity_of(to),
-                             .peer = entity_of(from),
-                             .cause = send_id,
-                             .channel = channel,
-                             .arg = env.proto});
-  obs::CauseScope scope(sl().events, recv_id);
-  dest.deliver(env);
-}
-
-void Network::send_wireless_uplink(MhId from, Envelope env) {
-  auto& host = mh(from);
-  if (!host.connected()) {
-    throw std::logic_error("send_wireless_uplink: " + to_string(from) + " is not in a cell");
-  }
-  const MssId target = host.current_mss();
-  if (!env.control) {
-    sl().ledger.charge_wireless(index(from), /*mh_transmitted=*/true);
-  } else {
-    ++sl().stats.control_msgs;
-  }
-  uplink_attempt(from, target, std::move(env), host.joins_completed(), 0, 0);
-}
-
-void Network::uplink_attempt(MhId from, MssId target, Envelope env, std::uint64_t epoch,
-                             std::uint32_t attempt, std::uint64_t wseq) {
-  const auto channel = channel_key(ChannelType::kUplink, index(from), index(target));
-  auto& chan = mh(from).link(target).uplink;
-  if (attempt == 0) wseq = ++chan.next_wseq;
-  const auto send_id = emit({.kind = obs::EventKind::kSend,
-                             .entity = entity_of(from),
-                             .peer = entity_of(target),
-                             .channel = channel,
-                             .arg = env.proto,
-                             .detail = attempt == 0 ? "" : "retx"});
-  const char* why = nullptr;
-  if (wireless_frame_lost(index(target), &why)) {
-    const auto drop_id = emit({.kind = obs::EventKind::kMsgDropped,
-                               .entity = entity_of(from),
-                               .peer = entity_of(target),
-                               .cause = send_id,
-                               .channel = channel,
-                               .arg = env.proto,
-                               .detail = why});
-    ++sl().stats.retransmissions;
-    sl().delivery_retry_depth.record(attempt + 1);
-    sl().sched.schedule(retransmit_backoff(attempt),
-                        [this, from, target, epoch, attempt, wseq, cause = drop_id,
-                         env = std::move(env)]() mutable {
-                          obs::CauseScope scope(sl().events, cause);
-                          // Leave/Disconnect frames describe a departure the
-                          // §2 join/handoff protocol has already superseded
-                          // once the MH completed another join; delivering a
-                          // stale copy now could only evict a live member.
-                          // Every other uplink keeps retrying: the link layer
-                          // owes eventual delivery to the cell the frame was
-                          // sent in, no matter where the MH went since.
-                          if (env.proto == protocol::kSystem &&
-                              mh(from).joins_completed() != epoch) {
-                            return;
-                          }
-                          uplink_attempt(from, target, std::move(env), epoch, attempt + 1, wseq);
-                        });
-    return;
-  }
-  // The uplink stays inside the cell too: the target MSS's lane is the
-  // MH's lane, so this is a same-lane draw in the sharded engine.
-  auto latency = sample(index(target), cfg_.latency.wireless_min, cfg_.latency.wireless_max);
-  const bool duplicated = fault_ && fault_->draw_wireless_dup();
-  if (fault_) latency += fault_->draw_wireless_spike();
-  if (duplicated) {
-    fault_->count_dup();
-    emit({.kind = obs::EventKind::kMsgDuplicated,
-          .entity = entity_of(from),
-          .peer = entity_of(target),
-          .cause = send_id,
-          .channel = channel,
-          .arg = env.proto});
-  }
-  const auto arrival = fifo_arrival(chan.fifo_clock, ChannelType::kUplink, latency);
-  auto deliver = [this, from, target, send_id, channel, wseq](Envelope frame) {
-    if (!mh(from).link(target).uplink.dedup.deliver(wseq)) {
-      ++sl().stats.dup_suppressed;
-      return;
+  const auto& env = frame.env;
+  if (frame.downlink()) {
+    if (env.control) {
+      ++sl().stats.control_msgs;
+    } else {
+      sl().ledger.charge_wireless(index(frame.mh), /*mh_transmitted=*/false);
     }
-    const auto recv_id = emit({.kind = obs::EventKind::kRecv,
-                               .entity = entity_of(target),
-                               .peer = entity_of(from),
-                               .cause = send_id,
-                               .channel = channel,
-                               .arg = frame.proto});
-    obs::CauseScope scope(sl().events, recv_id);
-    mss(target).dispatch(frame);
-  };
-  sl().sched.schedule_at(arrival, [deliver, env]() mutable { deliver(std::move(env)); });
-  if (duplicated) {
-    const auto copy_latency =
-        fault_->draw_latency(cfg_.latency.wireless_min, cfg_.latency.wireless_max);
-    const auto copy_arrival =
-        fifo_arrival(chan.fifo_clock, ChannelType::kUplink, copy_latency);
-    sl().sched.schedule_at(copy_arrival,
-                           [deliver, env = std::move(env)]() mutable { deliver(std::move(env)); });
+    if (host.dozing()) ++sl().stats.doze_interruptions;
+  }
+  const auto recv_id = emit({.kind = obs::EventKind::kRecv,
+                             .entity = frame.receiver(),
+                             .peer = frame.sender(),
+                             .cause = send_id,
+                             .channel = frame.channel(),
+                             .arg = env.proto,
+                             .detail = frame.join ? "join" : ""});
+  obs::CauseScope scope(sl().events, recv_id);
+  if (frame.downlink()) {
+    host.deliver(env);
+  } else {
+    mss(frame.mss).dispatch(env);
   }
 }
 
@@ -803,51 +784,62 @@ void Network::send_to_mh_attempt(MssId from, Envelope env, MhId to, SendPolicy p
     // The retry path re-launches from a scheduled lambda where no
     // dispatch scope is active; carry the locate resolution's cause into
     // it so retries stay on the causal chain.
+    const auto proto = env.proto;
     auto deliver = [this, at, env = std::move(env), to, policy, attempt,
                     cause = sl().events.current_cause()]() mutable {
-      send_wireless_downlink(
-          at, std::move(env), to,
-          [this, at, to, policy, attempt, cause](const Envelope& failed) {
-            ++sl().stats.delivery_retries;
-            sl().delivery_retry_depth.record(attempt + 1);
-            // Re-launch from the cell that noticed the miss: its MSS
-            // searches again, as the paper's footnote 1 describes. The
-            // backoff is essential: a just-departed MH can still sit in the
-            // local list until its leave() lands, and an instant retry would
-            // re-resolve to the same cell in the same virtual instant,
-            // spinning forever without advancing time.
-            const auto backoff = cfg_.latency.wireless_max + 1;
-            sl().sched.schedule(backoff, [this, at, env = failed, to, policy, attempt, cause]() {
-              obs::CauseScope scope(sl().events, cause);
-              send_to_mh_attempt(at, env, to, policy, attempt + 1);
-            });
-          });
+      send_wireless_downlink(at, std::move(env), to,
+                             chase_on_miss(at, to, policy, attempt + 1, attempt + 1, cause));
     };
     if (at == from) {
       deliver();
-    } else {
-      // The forward leg bypasses the formation queue (it delivers via a
-      // closure, not dispatch), but shares the wired channel with it:
-      // flush the pending packet first so this send cannot overtake
-      // messages queued earlier on the same channel.
-      if (sl().formation) sl().formation->flush_pair(from, at, "barrier");
-      auto latency = sample(index(from), cfg_.latency.wired_min, cfg_.latency.wired_max);
-      if (fault_) latency += fault_->draw_wired_spike();
-      const auto arrival =
-          fifo_arrival(wired_clock(from, at), ChannelType::kWired, latency);
-      const auto channel = channel_key(ChannelType::kWired, index(from), index(at));
-      const auto fwd_id = emit({.kind = obs::EventKind::kSend,
-                                .entity = entity_of(from),
-                                .peer = entity_of(at),
-                                .channel = channel,
-                                .arg = env.proto,
-                                .detail = "forward"});
-      sl().sched.schedule_at(arrival, [this, from, at, fwd_id, channel, proto = env.proto,
-                                       deliver = std::move(deliver)]() mutable {
-        arrive_deferred(from, at, fwd_id, channel, proto, "forward", std::move(deliver));
-      });
+      return;
     }
+    // The forward leg bypasses the formation queue (it delivers via a
+    // closure, not dispatch), but shares the wired channel with it:
+    // flush the pending packet first so this send cannot overtake
+    // messages queued earlier on the same channel.
+    if (sl().formation) sl().formation->flush_pair(from, at, "barrier");
+    const auto arrival = wired_arrival(from, at);
+    const auto channel = channel_key(ChannelType::kWired, index(from), index(at));
+    const auto fwd_id = emit({.kind = obs::EventKind::kSend,
+                              .entity = entity_of(from),
+                              .peer = entity_of(at),
+                              .channel = channel,
+                              .arg = proto,
+                              .detail = "forward"});
+    sl().sched.schedule_at(arrival, [this, from, at, fwd_id, channel, proto,
+                                     deliver = std::move(deliver)]() mutable {
+      const auto recv_id = emit({.kind = obs::EventKind::kRecv,
+                                 .entity = entity_of(at),
+                                 .peer = entity_of(from),
+                                 .cause = fwd_id,
+                                 .channel = channel,
+                                 .arg = proto,
+                                 .detail = "forward"});
+      obs::CauseScope scope(sl().events, recv_id);
+      deliver();
+    });
   });
+}
+
+Network::FailCallback Network::chase_on_miss(MssId at, MhId to, SendPolicy policy,
+                                             std::uint32_t depth, std::uint32_t next_attempt,
+                                             obs::EventId cause) {
+  return [this, at, to, policy, depth, next_attempt, cause](const Envelope& failed) {
+    ++sl().stats.delivery_retries;
+    sl().delivery_retry_depth.record(depth);
+    // Re-launch from the cell that noticed the miss: its MSS searches
+    // again, as the paper's footnote 1 describes. The backoff is
+    // essential: a just-departed MH can still sit in the local list until
+    // its leave() lands, and an instant retry would re-resolve to the
+    // same cell in the same virtual instant, spinning forever without
+    // advancing time.
+    const auto backoff = cfg_.latency.wireless_max + 1;
+    sl().sched.schedule(backoff, [this, at, env = failed, to, policy, next_attempt, cause]() {
+      obs::CauseScope scope(sl().events, cause);
+      send_to_mh_attempt(at, env, to, policy, next_attempt);
+    });
+  };
 }
 
 void Network::relay_to_mh(MssId via, const msg::Relay& relay) {
@@ -881,6 +873,11 @@ void Network::oracle_locate(MssId from, MhId target, LocateCallback cb) {
         .arg = 1,
         .detail = "oracle"});
   const auto delay = sample(index(from), cfg_.latency.search_min, cfg_.latency.search_max);
+  resolve_locate_after(delay, from, target, std::move(cb));
+}
+
+void Network::resolve_locate_after(sim::Duration delay, MssId from, MhId target,
+                                   LocateCallback cb) {
   sl().sched.schedule(delay, [this, from, target, cause = sl().events.current_cause(),
                               cb = std::move(cb)]() mutable {
     obs::CauseScope scope(sl().events, cause);
@@ -915,25 +912,7 @@ void Network::broadcast_locate(MssId from, MhId target, LocateCallback cb) {
           .peer = entity_of(target),
           .arg = 1,
           .detail = "broadcast"});
-    sl().sched.schedule(0, [this, from, target, cause = sl().events.current_cause(),
-                            cb = std::move(cb)]() mutable {
-      obs::CauseScope scope(sl().events, cause);
-      auto& host = mh(target);
-      switch (host.state()) {
-        case MhState::kConnected:
-          sl().search_rounds.record(1);
-          cb(from, false);
-          return;
-        case MhState::kDisconnected:
-          sl().search_rounds.record(1);
-          cb(host.last_mss(), true);
-          return;
-        case MhState::kInTransit:
-          ++sl().stats.searches_pended;
-          pending_locates_[target].push_back(PendingLocate{from, std::move(cb)});
-          return;
-      }
-    });
+    resolve_locate_after(0, from, target, std::move(cb));
     return;
   }
   const std::uint64_t token = next_search_token_++;
@@ -1033,83 +1012,6 @@ void Network::handle_search_reply(const msg::SearchReply& reply) {
   }
 }
 
-void Network::submit_join(MhId from, MssId target, msg::Join join) {
-  require_legacy("submit_join()");
-  ++sl().stats.control_msgs;
-  join_attempt(from, target, join, 0, 0);
-}
-
-void Network::join_attempt(MhId from, MssId target, msg::Join join, std::uint32_t attempt,
-                           std::uint64_t wseq) {
-  const auto channel = channel_key(ChannelType::kUplink, index(from), index(target));
-  auto& chan = mh(from).link(target).uplink;
-  if (attempt == 0) wseq = ++chan.next_wseq;
-  const auto send_id = emit({.kind = obs::EventKind::kSend,
-                             .entity = entity_of(from),
-                             .peer = entity_of(target),
-                             .channel = channel,
-                             .arg = protocol::kSystem,
-                             .detail = attempt == 0 ? "join" : "join retx"});
-  const char* why = nullptr;
-  if (wireless_frame_lost(index(target), &why)) {
-    const auto drop_id = emit({.kind = obs::EventKind::kMsgDropped,
-                               .entity = entity_of(from),
-                               .peer = entity_of(target),
-                               .cause = send_id,
-                               .channel = channel,
-                               .arg = protocol::kSystem,
-                               .detail = why});
-    ++sl().stats.retransmissions;
-    sl().delivery_retry_depth.record(attempt + 1);
-    sl().sched.schedule(retransmit_backoff(attempt),
-                        [this, from, target, join, attempt, wseq, cause = drop_id]() {
-                          obs::CauseScope scope(sl().events, cause);
-                          // Joining is the one state a MH cannot leave on its
-                          // own (move_to/disconnect require connectivity), so
-                          // retry until the join lands.
-                          if (mh(from).connected()) return;
-                          join_attempt(from, target, join, attempt + 1, wseq);
-                        });
-    return;
-  }
-  auto latency = sample(index(target), cfg_.latency.wireless_min, cfg_.latency.wireless_max);
-  const bool duplicated = fault_ && fault_->draw_wireless_dup();
-  if (fault_) latency += fault_->draw_wireless_spike();
-  if (duplicated) {
-    fault_->count_dup();
-    emit({.kind = obs::EventKind::kMsgDuplicated,
-          .entity = entity_of(from),
-          .peer = entity_of(target),
-          .cause = send_id,
-          .channel = channel,
-          .arg = protocol::kSystem});
-  }
-  const auto arrival = fifo_arrival(chan.fifo_clock, ChannelType::kUplink, latency);
-  auto deliver = [this, from, target, send_id, channel, wseq, join]() {
-    if (!mh(from).link(target).uplink.dedup.deliver(wseq)) {
-      ++sl().stats.dup_suppressed;
-      return;
-    }
-    const auto recv_id = emit({.kind = obs::EventKind::kRecv,
-                               .entity = entity_of(target),
-                               .peer = entity_of(from),
-                               .cause = send_id,
-                               .channel = channel,
-                               .arg = protocol::kSystem,
-                               .detail = "join"});
-    obs::CauseScope scope(sl().events, recv_id);
-    mss(target).dispatch(make_control(NodeRef(join.mh), NodeRef(target), join));
-  };
-  sl().sched.schedule_at(arrival, deliver);
-  if (duplicated) {
-    const auto copy_latency =
-        fault_->draw_latency(cfg_.latency.wireless_min, cfg_.latency.wireless_max);
-    const auto copy_arrival =
-        fifo_arrival(chan.fifo_clock, ChannelType::kUplink, copy_latency);
-    sl().sched.schedule_at(copy_arrival, deliver);
-  }
-}
-
 void Network::on_mh_rejoined(MhId mh_id, MssId at) {
   // Flush searches that were waiting for this MH to land.
   if (auto it = pending_locates_.find(mh_id); it != pending_locates_.end()) {
@@ -1122,16 +1024,10 @@ void Network::on_mh_rejoined(MhId mh_id, MssId at) {
     auto queue = std::move(it->second);
     parked_.erase(it);
     for (auto& parked : queue) {
-      Envelope env = std::move(parked.env);
-      send_wireless_downlink(at, std::move(env), mh_id,
-                             [this, at, mh_id](const Envelope& failed) {
-                               ++sl().stats.delivery_retries;
-                               sl().delivery_retry_depth.record(1);
-                               const auto backoff = cfg_.latency.wireless_max + 1;
-                               sl().sched.schedule(backoff, [this, at, env = failed, mh_id]() {
-                                 send_to_mh(at, env, mh_id, SendPolicy::kEventualDelivery);
-                               });
-                             });
+      // A miss starts a fresh chase, outside any causal chain.
+      send_wireless_downlink(
+          at, std::move(parked.env), mh_id,
+          chase_on_miss(at, mh_id, SendPolicy::kEventualDelivery, 1, 0, obs::EventId{0}));
     }
   }
 }

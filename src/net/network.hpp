@@ -214,6 +214,11 @@ class Network {
   /// The installed fault plane; nullptr when the run has none.
   [[nodiscard]] fault::FaultPlane* fault_plane() noexcept { return fault_.get(); }
   [[nodiscard]] const fault::FaultPlane* fault_plane() const noexcept { return fault_.get(); }
+  /// MSS crashes begun so far. Counted where kMssCrash is emitted, so
+  /// the count holds even after the event ring evicted those events.
+  [[nodiscard]] std::uint64_t mss_crashes() const noexcept { return mss_crashes_; }
+  /// MSS recoveries reached so far (counted where kMssRecover is emitted).
+  [[nodiscard]] std::uint64_t mss_recoveries() const noexcept { return mss_recoveries_; }
 
   /// Fire on_start on every registered agent (MSS agents first, then MH
   /// agents, each in id order). Call after registering all agents and
@@ -441,13 +446,38 @@ class Network {
   /// sample one latency for the whole packet and schedule its arrival
   /// (via the window mailbox when sharded).
   void transmit_packet(FormationLayer::Packet packet);
-  /// Packet arrival: honour crash/partition deferral, emit kPacketFlush,
-  /// then deliver the coalesced messages in send order. In the sharded
-  /// engine `packet_id` and every item's send_id arrive as cross-stream
-  /// refs, with the senders' Lamport clocks carried alongside.
+  /// Packet arrival: emit kPacketFlush, then deliver the coalesced
+  /// messages in send order. In the sharded engine `packet_id` and every
+  /// item's send_id arrive as cross-stream refs, with the senders'
+  /// Lamport clocks carried alongside.
   void arrive_packet(FormationLayer::Packet packet, obs::EventId packet_id,
                      std::uint64_t channel, std::uint64_t packet_clock = 0,
                      std::vector<std::uint64_t> item_clocks = {});
+
+  // --- wired hop --------------------------------------------------------------
+  //
+  // A crashed (or partitioned-off) destination keeps wired messages
+  // waiting at its interface until the outage window closes. The crash
+  // and partition schedule is static, so the hold is decided when the
+  // message is sent: the natural arrival instant is pushed to the
+  // release before the FIFO clamp, so the channel's FIFO clock moves with
+  // it. A later send on the channel can then never be scheduled before an
+  // earlier held one, and messages released at the same instant fire in
+  // send order.
+
+  /// Earliest instant >= `at` at which `to` can take a wired message
+  /// from `from`: each outage window covering it (chained windows
+  /// included) pushes it to the window's end and counts one deferral.
+  [[nodiscard]] sim::SimTime wired_hold(MssId from, MssId to, sim::SimTime at);
+  /// Arrival instant of the next transmission on the wired channel
+  /// from -> to: one latency draw on from's lane plus any fault spike,
+  /// held past outages, then FIFO-clamped behind the channel's clock.
+  [[nodiscard]] sim::SimTime wired_arrival(MssId from, MssId to);
+  /// Wired arrival: emit the recv and dispatch at `to`. `send_clock`
+  /// carries the sender's Lamport clock when `send_id` is a cross-stream
+  /// ref (sharded engine).
+  void arrive_wired(MssId from, MssId to, obs::EventId send_id, std::uint64_t channel,
+                    Envelope env, std::uint64_t send_clock = 0);
 
   // --- reliable wireless hop (ack/retransmit + dedup) -----------------------
   //
@@ -457,42 +487,52 @@ class Network {
   // receiver suppresses duplicate wseqs. Loss is decided at send time by
   // the fault plane (implicit ack: the sender knows ground truth), so a
   // dropped attempt schedules the next one after a capped exponential
-  // backoff.
+  // backoff. Downlinks, uplinks and joins all ride wireless_attempt().
 
-  void downlink_attempt(MssId from, Envelope env, MhId to, FailCallback on_fail,
-                        std::uint32_t attempt, std::uint64_t wseq);
-  void deliver_downlink_frame(MssId from, MhId to, obs::EventId send_id,
-                              std::uint64_t channel, std::uint64_t wseq, Envelope env,
-                              FailCallback on_fail);
-  void uplink_attempt(MhId from, MssId target, Envelope env, std::uint64_t epoch,
-                      std::uint32_t attempt, std::uint64_t wseq);
-  void join_attempt(MhId from, MssId target, msg::Join join, std::uint32_t attempt,
-                    std::uint64_t wseq);
+  /// One reliable wireless frame and when its retransmission stops
+  /// (both defined in network.cpp).
+  struct WirelessFrame;
+  enum class RetryGuard : std::uint8_t;
+
+  /// The channel state a frame travels on: the MH's downlink from the
+  /// cell, or its uplink record for the cell.
+  [[nodiscard]] ChannelState& wireless_channel(const WirelessFrame& frame);
+  /// False once the frame's retry guard has tripped.
+  [[nodiscard]] bool retry_wanted(const WirelessFrame& frame) const;
+  /// Transmit one attempt of `frame`: check the retry guard, assign the
+  /// wseq on attempt 0, emit the send, then either schedule the next
+  /// attempt (lost) or schedule the landing plus any link-layer copy.
+  /// `on_fail` (downlinks only) runs with the envelope when the MH has
+  /// left the cell; the copy never carries it.
+  void wireless_attempt(WirelessFrame frame, FailCallback on_fail);
+  /// A frame reaches its receiver: a downlink whose MH has left is lost
+  /// (on_fail runs), a duplicate wseq is suppressed, anything else emits
+  /// the recv and is dispatched.
+  void land_wireless(const WirelessFrame& frame, obs::EventId send_id,
+                     const FailCallback& on_fail);
 
   /// Consult the fault plane for this wireless frame; on loss, `why` is
   /// set to "crash" (dead cell) or "loss" (random drop).
   [[nodiscard]] bool wireless_frame_lost(std::uint32_t cell, const char** why);
   [[nodiscard]] sim::Duration retransmit_backoff(std::uint32_t attempt) const;
 
-  /// Wired arrival with crash/partition deferral: a message reaching a
-  /// crashed (or partitioned-off) MSS waits at its interface and is
-  /// re-offered when the outage window closes; the recv event fires only
-  /// at actual delivery. `send_clock` carries the sender's Lamport clock
-  /// when `send_id` is a cross-stream ref (sharded engine).
-  void arrive_wired(MssId from, MssId to, obs::EventId send_id, std::uint64_t channel,
-                    Envelope env, std::uint64_t send_clock = 0);
-  /// Same deferral for the send_to_mh forward leg, which delivers via a
-  /// closure instead of dispatch. `detail` must be a static-lifetime tag
-  /// (callers pass literals): the view is captured across deferrals.
-  void arrive_deferred(MssId from, MssId at, obs::EventId send_id, std::uint64_t channel,
-                       ProtocolId proto, std::string_view detail,
-                       std::function<void()> deliver);
-
   void begin_crash(const fault::MssCrash& crash);
 
   void oracle_locate(MssId from, MhId target, LocateCallback cb);
   void broadcast_locate(MssId from, MhId target, LocateCallback cb);
   void broadcast_round(std::uint64_t token);
+  /// One-round search resolution after `delay`, from the target's state
+  /// at that instant: a connected MH resolves to its cell, a
+  /// disconnected one to the cell holding its flag, and an in-transit
+  /// one parks until it joins its next cell.
+  void resolve_locate_after(sim::Duration delay, MssId from, MhId target, LocateCallback cb);
+  /// Failure callback of a located delivery's final downlink: count the
+  /// miss at retry depth `depth`, then after a backoff re-launch the
+  /// delivery from the cell that noticed it as send_to_mh attempt
+  /// `next_attempt`, under `cause`.
+  [[nodiscard]] FailCallback chase_on_miss(MssId at, MhId to, SendPolicy policy,
+                                           std::uint32_t depth, std::uint32_t next_attempt,
+                                           obs::EventId cause);
 
   /// Join bookkeeping shared by Mss::handle_join: flush searches pending
   /// on this MH and deliver messages parked while it was disconnected.
@@ -532,6 +572,9 @@ class Network {
   std::map<std::uint64_t, BroadcastSearch> broadcast_;
   std::uint64_t next_search_token_ = 1;
   bool started_ = false;
+  /// Crash windows begun and ended so far (fault plane schedule).
+  std::uint64_t mss_crashes_ = 0;
+  std::uint64_t mss_recoveries_ = 0;
 
   std::unique_ptr<fault::FaultPlane> fault_;
 };

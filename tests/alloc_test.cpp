@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <cstdlib>
+#include <memory>
 #include <new>
 #include <vector>
 
@@ -289,6 +290,54 @@ TEST(MobilityAlloc, WarmBounceBetweenVisitedCellsDoesNotAllocate) {
   EXPECT_EQ(count, 0u) << "warm bounce allocated " << count / kBounces << " times per bounce";
   EXPECT_EQ(net.stats().handoffs, 2u * (kBounces + 2));
   EXPECT_EQ(net.current_mss_of(mh), static_cast<net::MssId>(0));
+}
+
+/// Echoes every uplink frame back over the downlink to the MH whose id
+/// the payload carries.
+class EchoStation final : public net::MssAgent {
+ public:
+  void on_message(const net::Envelope& env) override {
+    send_local(static_cast<net::MhId>(*net::body_as<std::uint32_t>(env)), env.body);
+  }
+};
+
+/// Sends one ping per ping() call and counts the echoes.
+class PingHost final : public net::MhAgent {
+ public:
+  void ping() { send_uplink(net::Body(static_cast<std::uint32_t>(net::index(self())))); }
+  void on_message(const net::Envelope& /*env*/) override { ++echoes; }
+  std::uint64_t echoes = 0;
+};
+
+// The reliable wireless hop's claim: a frame and its failure callback
+// ride the scheduler inline, so once the channels' dedup state is warm an
+// uplink ping plus its downlink echo performs no heap traffic.
+TEST(WirelessAlloc, WarmEchoRoundTripDoesNotAllocate) {
+  net::NetConfig cfg;
+  cfg.num_mss = 1;
+  cfg.num_mh = 1;
+  cfg.latency.wired_min = cfg.latency.wired_max = 5;
+  cfg.latency.wireless_min = cfg.latency.wireless_max = 2;
+  net::Network net(cfg);
+  constexpr net::ProtocolId kEcho = net::protocol::kUserBase;
+  net.mss(static_cast<net::MssId>(0)).register_agent(kEcho, std::make_shared<EchoStation>());
+  auto host = std::make_shared<PingHost>();
+  net.mh(static_cast<net::MhId>(0)).register_agent(kEcho, host);
+  net.start();
+  auto round_trip = [&] {
+    host->ping();
+    net.run();
+  };
+
+  round_trip();  // warm-up: channel records, scheduler slots, interned tags
+  round_trip();
+  constexpr int kRoundTrips = 100;
+  const auto count = allocations_during([&] {
+    for (int i = 0; i < kRoundTrips; ++i) round_trip();
+  });
+  EXPECT_EQ(count, 0u) << "warm echo allocated " << count / kRoundTrips
+                       << " times per round trip";
+  EXPECT_EQ(host->echoes, kRoundTrips + 2u);
 }
 
 }  // namespace

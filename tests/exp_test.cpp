@@ -142,7 +142,7 @@ TEST(ExpScenario, EveryPatternNameRoundTripsThroughJson) {
 
 TEST(ExpScenario, UnknownMobilityPatternEnumeratesTheValidNames) {
   try {
-    exp::parse_scenario(R"({
+    (void)exp::parse_scenario(R"({
       "name": "t", "workload": "mutex", "variant": "l2",
       "mobility": {"pattern": "teleport"}
     })");
@@ -315,6 +315,28 @@ TEST(ExpRunner, ShardsCollapseToLegacyForUnsafeWorkloads) {
   const auto collapsed = exp::run_scenario(sharded);
   ASSERT_TRUE(collapsed.ok) << collapsed.error;
   EXPECT_EQ(collapsed.metrics, base.metrics);
+}
+
+// Crash counts come from where the crash is emitted, not from the
+// retained event ring: a run long enough to evict its early crash from
+// the ring still reports it.
+TEST(ExpRunner, CrashCountSurvivesRingEviction) {
+  RunPlan plan;
+  plan.spec.name = "evicted_crash";
+  plan.spec.workload = "scale";
+  plan.spec.variant = "echo";
+  plan.spec.net.num_mss = 4;
+  plan.spec.net.num_mh = 4096;
+  plan.spec.params["pings"] = 16;
+  plan.spec.fault.crashes.push_back({1, 2, 20});
+  plan.spec.fault.evacuate_on_crash = false;
+  plan.cell = "base";
+  plan.seed = plan.spec.net.seed;
+  const auto result = exp::run_scenario(plan);
+  ASSERT_TRUE(result.ok) << result.error;
+  ASSERT_GT(result.metrics.at("events.dropped"), 0.0);
+  EXPECT_EQ(result.metrics.at("events.mss_crash"), 1.0);
+  EXPECT_EQ(result.metrics.at("events.mss_recover"), 1.0);
 }
 
 // The shard-safe workload really runs sharded — and its metrics are

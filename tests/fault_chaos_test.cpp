@@ -127,8 +127,12 @@ void sweep(Algo algo, const fault::FaultProfile& profile) {
   }
   // The sweep must have actually hurt: a silently inert plane would make
   // every liveness assertion above vacuous.
-  if (profile.wireless_loss > 0.0) EXPECT_GT(losses, 0.0);
-  if (profile.wireless_dup > 0.0) EXPECT_GT(dups, 0.0);
+  if (profile.wireless_loss > 0.0) {
+    EXPECT_GT(losses, 0.0);
+  }
+  if (profile.wireless_dup > 0.0) {
+    EXPECT_GT(dups, 0.0);
+  }
   EXPECT_EQ(crashes, static_cast<double>(profile.crashes.size() * kSeeds));
 }
 
@@ -193,6 +197,39 @@ TEST(ChaosR2DoublePrime, SurvivesCombinedProfile) {
 TEST(ChaosPathRev, SurvivesWirelessLoss) { sweep(Algo::kPathRev, loss_profile()); }
 TEST(ChaosPathRev, SurvivesMssCrash) { sweep(Algo::kPathRev, crash_profile()); }
 TEST(ChaosPathRev, SurvivesCombinedProfile) { sweep(Algo::kPathRev, combined_profile()); }
+
+// Regression for wired FIFO at a crashed MSS's recovery instant. A
+// message held by the outage used to be re-scheduled for the recovery
+// instant only when it arrived, behind a later message already scheduled
+// for that instant, and the channel_fifo checker rejected the run. These
+// seeds of the 8 MSS x 32 MH combined-profile L2 sweep (96 requests)
+// showed it.
+TEST(ChaosL2, CrashRecoveryKeepsWiredFifoOnKnownSeeds) {
+  exp::ScenarioSpec spec;
+  spec.name = "chaos_fifo";
+  spec.workload = "mutex";
+  spec.variant = "l2";
+  spec.net.num_mss = 8;
+  spec.net.num_mh = 32;
+  spec.fault = combined_profile();
+  spec.params["requests"] = 96;
+  spec.params["request_start"] = 5;
+  spec.params["request_gap"] = 10;
+  spec.params["chaos_moves"] = 3;
+  spec.params["token_at"] = 1;
+  spec.params["traversals"] = 60;
+  exp::SweepGrid grid;
+  grid.seeds = {658960559983827752ULL, 16065832459672161616ULL};
+  const auto results = exp::ParallelRunner(2).run(grid.expand(spec));
+  ASSERT_EQ(results.size(), 2u);
+  for (const auto& result : results) {
+    SCOPED_TRACE("seed=" + std::to_string(result.seed));
+    ASSERT_TRUE(result.ok) << result.error;
+    EXPECT_EQ(metric_or_zero(result, "events.mss_crash"), 1.0);
+    EXPECT_EQ(metric_or_zero(result, "workload.completed"), 96.0);
+    EXPECT_EQ(metric_or_zero(result, "workload.violations"), 0.0);
+  }
+}
 
 }  // namespace
 }  // namespace mobidist::test

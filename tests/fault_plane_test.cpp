@@ -192,6 +192,34 @@ TEST(FaultPlane, WiredMessageIntoCrashedMssDefersToRecovery) {
   ExpectCleanEventStream(net);
 }
 
+TEST(FaultPlane, WiredFifoHoldsAcrossRecoveryInstant) {
+  NetConfig cfg = small_config(/*m=*/2, /*n=*/0);
+  Network net(cfg);
+  fault::FaultProfile profile;
+  profile.crashes.push_back({1, 100, 100});
+  net.install_fault_plane(profile);
+  Harness agents(net);
+  net.start();
+  // A (sent t=190, natural arrival t=195) is held until recovery at
+  // t=200; B (sent t=195) arrives naturally at exactly t=200. Both land
+  // at t=200, and the channel must still deliver them in send order.
+  net.sched().schedule_at(190, [&agents] {
+    agents.mss[0]->do_send_wired(static_cast<MssId>(1), std::string("A"));
+  });
+  net.sched().schedule_at(195, [&agents] {
+    agents.mss[0]->do_send_wired(static_cast<MssId>(1), std::string("B"));
+  });
+  net.run();
+  ASSERT_EQ(agents.mss[1]->received.size(), 2u);
+  std::vector<std::string> order;
+  for (const auto& got : agents.mss[1]->received) {
+    EXPECT_EQ(got.at, 200u);
+    order.push_back(*body_as<std::string>(got.env));
+  }
+  EXPECT_EQ(order, (std::vector<std::string>{"A", "B"}));
+  ExpectCleanEventStream(net);
+}
+
 TEST(FaultPlane, PartitionedLinkDefersUntilHeal) {
   NetConfig cfg = small_config();
   Network net(cfg);

@@ -5,6 +5,10 @@
 # artifacts) to be byte-identical to the goldens committed under
 # tests/goldens/ — the pinned contract that scheduler/network hot-path
 # optimizations must not change simulated behavior by a single byte.
+# Three more scenarios pin the substrate paths the smoke runs never take:
+# ring_loss run 9 (wireless drop and retransmission), group_strategies
+# run 48 (joins, handoffs, the send_to_mh forward leg) and wireless_dup
+# (link-layer duplicates and formation packets).
 #
 # Regenerating goldens (only after an intentional behavior change):
 #   MOBIDIST_TRACE_DIR=out/ build/tools/mobidist_sweep \
@@ -26,8 +30,10 @@ trap 'rm -rf "$tmp"' EXIT
 
 MOBIDIST_TRACE_DIR="$tmp/" "$cli" --scenario "$source_dir/scenarios/scale_smoke.json" \
   --jobs 2 --deterministic --out "$tmp/ARTIFACT_scale_smoke.json" > /dev/null
-MOBIDIST_TRACE_DIR="$tmp/" "$cli" --scenario "$source_dir/scenarios/mutex_smoke.json" \
-  --jobs 2 --deterministic --out "$tmp/ARTIFACT_mutex_smoke.json" > /dev/null
+for scenario in mutex_smoke ring_loss group_strategies wireless_dup; do
+  MOBIDIST_TRACE_DIR="$tmp/" "$cli" --scenario "$source_dir/scenarios/$scenario.json" \
+    --jobs 2 --deterministic --out "$tmp/ARTIFACT_$scenario.json" > /dev/null
+done
 
 # Sharded-engine leg: the canonical merged stream at shards=1 has its
 # own goldens under tests/goldens/shard1/ (per-lane RNG streams make it
