@@ -11,6 +11,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <iostream>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -21,12 +22,14 @@
 
 namespace mobidist::bench {
 
-/// MOBIDIST_JOBS caps bench parallelism; unset = hardware concurrency.
+/// MOBIDIST_JOBS caps bench parallelism; unset or empty = hardware
+/// concurrency. Anything but a plain non-negative integer throws, so "-1"
+/// cannot wrap to UINT_MAX threads.
 inline unsigned jobs_from_env() {
-  if (const char* env = std::getenv("MOBIDIST_JOBS"); env != nullptr) {
-    return static_cast<unsigned>(std::strtoul(env, nullptr, 10));
-  }
-  return 0;
+  const char* env = std::getenv("MOBIDIST_JOBS");
+  if (env == nullptr || *env == '\0') return 0;
+  if (const auto jobs = core::parse_number<unsigned>(env)) return *jobs;
+  throw std::runtime_error("MOBIDIST_JOBS: '" + std::string(env) + "' is not a valid job count");
 }
 
 class Sections {

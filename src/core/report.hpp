@@ -1,9 +1,14 @@
 #pragma once
 
+#include <charconv>
+#include <cmath>
 #include <cstddef>
 #include <iosfwd>
+#include <optional>
 #include <string>
 #include <string_view>
+#include <system_error>
+#include <type_traits>
 #include <vector>
 
 #include "cost/cost_model.hpp"
@@ -63,6 +68,23 @@ enum class TraceFormat {
 /// -> kBinlog; anything else throws (a typo must not silently disable
 /// trace artifacts). Read by the experiment runner.
 [[nodiscard]] TraceFormat resolve_trace_format();
+
+/// Parse a whole command-line or environment number strictly: digits
+/// only (plus a fraction and exponent for floating T), no sign, nothing
+/// after it, in range for T, and finite. nullopt otherwise — where
+/// atoi/strtoul read "-1" as UINT_MAX and "4x" as 4.
+template <class T>
+[[nodiscard]] std::optional<T> parse_number(std::string_view text) {
+  if (text.empty() || text.front() == '-' || text.front() == '+') return std::nullopt;
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc{} || ptr != end) return std::nullopt;
+  if constexpr (std::is_floating_point_v<T>) {
+    if (!std::isfinite(value)) return std::nullopt;
+  }
+  return value;
+}
 
 /// Write `content` to `path`, throwing std::runtime_error on any
 /// failure (missing directory, unwritable file) so misconfigured

@@ -45,6 +45,8 @@ struct CostParams {
     p.c_search = cf * static_cast<double>(m + 1);
     return p;
   }
+
+  bool operator==(const CostParams&) const = default;
 };
 
 /// Category of a charged communication action.

@@ -74,9 +74,16 @@ struct SweepReport {
   std::uint64_t binlog_dropped = 0;
   std::uint64_t binlog_bytes = 0;
 
+  /// The artifact body alone: byte-identical across job and shard
+  /// counts, and what baselines are gated on.
   [[nodiscard]] std::string deterministic_json() const;
+  /// The full artifact: the deterministic body plus a "provenance"
+  /// member (git sha, jobs, shards, wall clock, binlog totals, per-cell
+  /// host timing).
   [[nodiscard]] std::string json() const;
 
+  /// The summary of cell `cell`, or nullptr when the sweep has no such
+  /// cell.
   [[nodiscard]] const CellSummary* find_cell(std::string_view cell) const;
 };
 
@@ -93,6 +100,7 @@ struct Regression {
   double baseline = 0.0;
   double current = 0.0;
   double rel_delta = 0.0;  ///< (current - baseline) / max(|baseline|, eps)
+  /// One-line human-readable description for the gate's report.
   [[nodiscard]] std::string to_string() const;
 };
 
@@ -106,6 +114,7 @@ struct BaselineComparison {
   std::vector<Regression> regressions;  ///< metric means drifted > tolerance
   std::size_t metrics_compared = 0;
 
+  /// True when the gate passes: comparable and no drift past tolerance.
   [[nodiscard]] bool ok() const noexcept { return compatible && regressions.empty(); }
 };
 

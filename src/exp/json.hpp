@@ -19,8 +19,10 @@ namespace mobidist::exp::json {
 /// nothing is lost.
 class Value {
  public:
+  /// Which JSON type the value holds.
   enum class Kind : std::uint8_t { kNull, kBool, kNumber, kString, kArray, kObject };
 
+  /// Array elements in document order.
   using Array = std::vector<Value>;
   /// Name-ordered so re-serialization is deterministic.
   using Object = std::map<std::string, Value, std::less<>>;
@@ -37,28 +39,44 @@ class Value {
   explicit Value(Array a) : kind_(Kind::kArray), arr_(std::move(a)) {}
   explicit Value(Object o) : kind_(Kind::kObject), obj_(std::move(o)) {}
 
+  /// The held type.
   [[nodiscard]] Kind kind() const noexcept { return kind_; }
+  /// True for `null` (and a default-constructed value).
   [[nodiscard]] bool is_null() const noexcept { return kind_ == Kind::kNull; }
+  /// True for `true` / `false`.
   [[nodiscard]] bool is_bool() const noexcept { return kind_ == Kind::kBool; }
+  /// True for any number, integer literal or not.
   [[nodiscard]] bool is_number() const noexcept { return kind_ == Kind::kNumber; }
+  /// True for a string.
   [[nodiscard]] bool is_string() const noexcept { return kind_ == Kind::kString; }
+  /// True for an array.
   [[nodiscard]] bool is_array() const noexcept { return kind_ == Kind::kArray; }
+  /// True for an object.
   [[nodiscard]] bool is_object() const noexcept { return kind_ == Kind::kObject; }
 
+  /// The boolean, or `fallback` when the value is not a bool.
   [[nodiscard]] bool as_bool(bool fallback = false) const noexcept {
     return is_bool() ? bool_ : fallback;
   }
+  /// The double view of a number, or `fallback` when not a number.
   [[nodiscard]] double as_number(double fallback = 0.0) const noexcept {
     return is_number() ? num_ : fallback;
   }
+  /// True when the number carries an exact 64-bit unsigned value (an
+  /// unsigned-integer literal in range, or the two-argument constructor).
+  [[nodiscard]] bool has_exact_u64() const noexcept { return has_u64_; }
   /// Exact unsigned view of an integer literal; falls back to a cast of
-  /// the double value for numbers not parsed as unsigned integers.
+  /// the double value for numbers not parsed as unsigned integers, which
+  /// the caller must first check lies in [0, 2^64).
   [[nodiscard]] std::uint64_t as_u64(std::uint64_t fallback = 0) const noexcept {
     if (!is_number()) return fallback;
     return has_u64_ ? u64_ : static_cast<std::uint64_t>(num_);
   }
+  /// The string; empty when the value is not a string.
   [[nodiscard]] const std::string& as_string() const noexcept { return str_; }
+  /// The elements; empty when the value is not an array.
   [[nodiscard]] const Array& as_array() const noexcept { return arr_; }
+  /// The members; empty when the value is not an object.
   [[nodiscard]] const Object& as_object() const noexcept { return obj_; }
 
   /// Object member lookup; nullptr when absent or not an object.

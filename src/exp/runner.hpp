@@ -43,7 +43,9 @@ class ScenarioContext {
   ScenarioContext(const ScenarioSpec& spec, net::Network& network)
       : spec_(spec), net_(network) {}
 
+  /// The run's fully resolved spec (axes and seed applied).
   [[nodiscard]] const ScenarioSpec& spec() const noexcept { return spec_; }
+  /// The run's own network, built from spec().net and not yet started.
   [[nodiscard]] net::Network& net() noexcept { return net_; }
 
   /// Construct an object that must outlive the simulation (an algorithm,
@@ -90,6 +92,7 @@ class ScenarioContext {
 /// each other's registrations.
 class WorkloadLibrary {
  public:
+  /// Wires one workload into a run's context (agents, schedule, metrics).
   using Builder = std::function<void(ScenarioContext&)>;
 
   /// All built-in workload kinds: "mutex" (l1|l2), "ring"
@@ -105,9 +108,11 @@ class WorkloadLibrary {
   /// other workload — and for shard-safe ones combined with mobility or
   /// a fault profile — so the shards axis is a pure no-op there.
   void add(std::string name, Builder builder, bool shard_safe = false);
+  /// The builder registered as `name`, or nullptr.
   [[nodiscard]] const Builder* find(std::string_view name) const;
   /// True when `name` was registered shard-safe (false for unknown names).
   [[nodiscard]] bool shard_safe(std::string_view name) const;
+  /// Every registered workload name, sorted.
   [[nodiscard]] std::vector<std::string> names() const;
 
  private:
@@ -135,13 +140,17 @@ class WorkloadLibrary {
 /// the plan list — independent of `jobs` and of thread scheduling.
 class ParallelRunner {
  public:
+  /// Executes one plan; an exception becomes an ok=false result.
   using RunFn = std::function<RunResult(const RunPlan&)>;
 
   /// `jobs` = 0 picks std::thread::hardware_concurrency().
   explicit ParallelRunner(unsigned jobs = 0);
 
+  /// The resolved worker cap (never 0).
   [[nodiscard]] unsigned jobs() const noexcept { return jobs_; }
 
+  /// Run every plan through `fn` on min(jobs(), plans.size()) threads;
+  /// results[i] belongs to plans[i].
   [[nodiscard]] std::vector<RunResult> run(const std::vector<RunPlan>& plans,
                                            const RunFn& fn) const;
   /// Convenience: run with the built-in workload library.

@@ -16,6 +16,7 @@ struct MssCrash {
   std::uint32_t mss = 0;
   sim::SimTime at = 0;
   sim::Duration down_for = 0;
+  bool operator==(const MssCrash&) const = default;
 };
 
 /// A wired partition between two MSSs: messages on the (a, b) link in
@@ -25,6 +26,7 @@ struct CellPartition {
   std::uint32_t b = 0;
   sim::SimTime from = 0;
   sim::SimTime until = 0;
+  bool operator==(const CellPartition&) const = default;
 };
 
 /// Everything that can go wrong in one run, fixed up front so the whole
@@ -63,6 +65,7 @@ struct FaultProfile {
   /// True when the profile can never perturb a run (the no-op profile
   /// used to prove fault-off and fault-free runs are byte-identical).
   [[nodiscard]] bool trivial() const noexcept;
+  bool operator==(const FaultProfile&) const = default;
 };
 
 /// Seed mixer for the fault plane's private RNG stream. The plane must

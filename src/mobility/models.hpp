@@ -70,6 +70,7 @@ struct MobilityConfig {
   std::uint64_t crowd_period = 1500;
   /// kFlashCrowd length of each event window in ticks (<= crowd_period).
   std::uint64_t crowd_dwell = 300;
+  bool operator==(const MobilityConfig&) const = default;
 };
 
 /// Everything a model may consult when choosing the next cell: the

@@ -43,6 +43,8 @@ struct FormationConfig {
 
   /// True when the layer is disabled and sends bypass formation.
   [[nodiscard]] constexpr bool passthrough() const noexcept { return flush_deadline == 0; }
+
+  bool operator==(const FormationConfig&) const = default;
 };
 
 /// Nominal per-message framing overhead (headers, addressing) used by

@@ -81,19 +81,11 @@ Network::Network(NetConfig cfg) : cfg_(cfg), rng_(cfg.seed) {
     mh_.push_back(std::make_unique<MobileHost>(*this, static_cast<MhId>(i)));
   }
   // Initial placement: direct, no protocol traffic, so it is in place
-  // before any agent's on_start. Placement draws from the global
-  // stream even when sharded — it happens before the run, on one
-  // thread, and must not depend on the shard count.
+  // before any agent's on_start. It draws no randomness.
   mh_lane_.reserve(cfg_.num_mh);
   for (std::uint32_t i = 0; i < cfg_.num_mh; ++i) {
-    std::uint32_t cell = 0;
-    switch (cfg_.placement) {
-      case InitialPlacement::kRoundRobin: cell = i % cfg_.num_mss; break;
-      case InitialPlacement::kRandom:
-        cell = static_cast<std::uint32_t>(rng_.below(cfg_.num_mss));
-        break;
-      case InitialPlacement::kAllInCell0: cell = 0; break;
-    }
+    const std::uint32_t cell =
+        cfg_.placement == InitialPlacement::kRoundRobin ? i % cfg_.num_mss : 0;
     mh_[i]->mss_ = static_cast<MssId>(cell);
     mh_[i]->state_ = MhState::kConnected;
     mss_[cell]->place_local(static_cast<MhId>(i));
@@ -865,8 +857,7 @@ void Network::locate(MssId from, MhId target, LocateCallback cb) {
 }
 
 void Network::oracle_locate(MssId from, MhId target, LocateCallback cb) {
-  const bool local_hit = mh(target).current_mss() == from;
-  if (cfg_.charge_search_for_local || !local_hit) sl().ledger.charge_search();
+  sl().ledger.charge_search();
   emit({.kind = obs::EventKind::kSearchRound,
         .entity = entity_of(from),
         .peer = entity_of(target),

@@ -49,7 +49,6 @@ namespace mobidist::net {
 /// Where MHs sit before the simulation starts.
 enum class InitialPlacement : std::uint8_t {
   kRoundRobin,  ///< mh i starts in cell i mod M
-  kRandom,      ///< uniform random cell
   kAllInCell0,  ///< everyone piled into cell 0 (stress fixture)
 };
 
@@ -61,10 +60,6 @@ struct NetConfig {
   LatencyConfig latency;
   InitialPlacement placement = InitialPlacement::kRoundRobin;
   std::uint64_t seed = 1;
-  /// Oracle mode charges c_search even when the target happens to be
-  /// local to the sender, matching the paper's unconditional C_search
-  /// terms. Disable for "location caching" ablations.
-  bool charge_search_for_local = true;
   /// Wired-backbone batching policy. The default is passthrough
   /// (flush_deadline == 0): no formation layer, byte-identical traces to
   /// the unbatched substrate.
@@ -81,6 +76,7 @@ struct NetConfig {
   /// supports static topologies only (no mobility, no faults); the
   /// mutating entry points throw std::logic_error when sharded.
   std::uint32_t shards = 0;
+  bool operator==(const NetConfig&) const = default;
 };
 
 /// The §2 system model in one object: M MSSs on a reliable FIFO wired

@@ -35,6 +35,7 @@ struct LatencyConfig {
   sim::Duration search_max = 12;
   /// Broadcast mode: pause before re-querying when a round finds nothing.
   sim::Duration broadcast_retry = 50;
+  bool operator==(const LatencyConfig&) const = default;
 };
 
 }  // namespace mobidist::net

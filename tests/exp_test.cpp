@@ -48,7 +48,8 @@ TEST(ExpScenario, ParsesEverySection) {
     "topology": {"num_mss": 4, "num_mh": 8, "seed": 9, "search": "broadcast"},
     "latency": {"wired": 5, "wireless_min": 1, "wireless_max": 3},
     "cost": {"c_search": 7.5},
-    "fault": {"wireless_loss": 0.05, "crashes": [{"mss": 1, "at": 120, "down_for": 80}]},
+    "fault": {"wireless_loss": 0.05, "crashes": [{"mss": 1, "at": 120, "down_for": 80}],
+              "partitions": [{"a": 0, "b": 2, "from": 10, "until": 20}]},
     "mobility": {"enabled": 1, "mean_pause": 25},
     "params": {"requests": 6}
   })");
@@ -65,18 +66,33 @@ TEST(ExpScenario, ParsesEverySection) {
   EXPECT_DOUBLE_EQ(spec.fault.wireless_loss, 0.05);
   ASSERT_EQ(spec.fault.crashes.size(), 1u);
   EXPECT_EQ(spec.fault.crashes[0].at, 120u);
+  ASSERT_EQ(spec.fault.partitions.size(), 1u);
+  EXPECT_EQ(spec.fault.partitions[0].b, 2u);
+  EXPECT_EQ(spec.fault.partitions[0].until, 20u);
   EXPECT_TRUE(spec.mobility);
   EXPECT_DOUBLE_EQ(spec.mob.mean_pause, 25.0);
   EXPECT_DOUBLE_EQ(spec.param("requests", 0), 6.0);
 }
 
 TEST(ExpScenario, JsonRoundTripIsStable) {
-  auto spec = small_mutex_spec();
-  spec.fault.wireless_loss = 0.1;
-  spec.mobility = true;
-  const auto text = exp::to_json(spec);
-  const auto reparsed = exp::parse_scenario(text);
-  EXPECT_EQ(exp::to_json(reparsed), text);
+  // A scenario file is a set of dotted overrides grouped into sections
+  // (what mobidist_gen writes); parsing it must build the spec the same
+  // overrides build when applied one by one.
+  auto flat = small_mutex_spec();
+  exp::apply_override(flat, "fault.wireless_loss", exp::json::Value(0.1));
+  exp::apply_override(flat, "mobility.enabled", exp::json::Value(true));
+  const auto spec = exp::parse_scenario(R"({
+    "name": "exp_test", "workload": "mutex", "variant": "l2",
+    "topology": {"num_mss": 3, "num_mh": 6, "seed": 42},
+    "fault": {"wireless_loss": 0.1},
+    "mobility": {"enabled": true},
+    "params": {"requests": 4, "request_start": 1, "request_gap": 5}
+  })");
+  EXPECT_DOUBLE_EQ(spec.fault.wireless_loss, 0.1);
+  EXPECT_TRUE(spec.mobility);
+  EXPECT_TRUE(spec == flat);
+  flat.net.latency.search_max += 1;  // any field counts in the comparison
+  EXPECT_FALSE(spec == flat);
 }
 
 TEST(ExpScenario, FormationSectionRoundTrips) {
@@ -88,15 +104,9 @@ TEST(ExpScenario, FormationSectionRoundTrips) {
   EXPECT_EQ(spec.net.formation.max_packet_msgs, 8u);
   EXPECT_EQ(spec.net.formation.max_packet_bytes, 2048u);
   EXPECT_FALSE(spec.net.formation.passthrough());
-  const auto text = exp::to_json(spec);
-  const auto reparsed = exp::parse_scenario(text);
-  EXPECT_EQ(exp::to_json(reparsed), text);
 
-  // A passthrough config emits no formation section at all, keeping
-  // pre-formation scenario files byte-stable.
-  auto plain = small_mutex_spec();
-  EXPECT_TRUE(plain.net.formation.passthrough());
-  EXPECT_EQ(exp::to_json(plain).find("formation"), std::string::npos);
+  // A scenario without a formation section keeps the passthrough default.
+  EXPECT_TRUE(exp::parse_scenario(R"({"name": "t"})").net.formation.passthrough());
 }
 
 TEST(ExpScenario, MobilityModelSectionRoundTrips) {
@@ -116,28 +126,43 @@ TEST(ExpScenario, MobilityModelSectionRoundTrips) {
   EXPECT_EQ(spec.mob.crowd_period, 600u);
   EXPECT_EQ(spec.mob.crowd_dwell, 120u);
   EXPECT_EQ(spec.mob.grid_width, 4u);
-  const auto text = exp::to_json(spec);
-  const auto reparsed = exp::parse_scenario(text);
-  EXPECT_EQ(exp::to_json(reparsed), text);
-
-  // Default model knobs emit nothing, keeping pre-library scenario
-  // renderings byte-stable.
-  auto plain = small_mutex_spec();
-  plain.mobility = true;
-  const auto plain_text = exp::to_json(plain);
-  for (const char* key : {"phase_period", "crowd_fraction", "grid_width", "regions"}) {
-    EXPECT_EQ(plain_text.find(key), std::string::npos) << key;
-  }
 }
 
 TEST(ExpScenario, EveryPatternNameRoundTripsThroughJson) {
   for (const auto name : mobility::kMovePatternNames) {
-    auto spec = small_mutex_spec();
-    spec.mobility = true;
-    spec.mob.pattern = *mobility::pattern_from_name(name);
-    const auto reparsed = exp::parse_scenario(exp::to_json(spec));
-    EXPECT_EQ(reparsed.mob.pattern, spec.mob.pattern) << name;
+    const auto spec = exp::parse_scenario(
+        R"({"mobility": {"enabled": true, "pattern": ")" + std::string(name) + R"("}})");
+    EXPECT_EQ(spec.mob.pattern, *mobility::pattern_from_name(name)) << name;
   }
+}
+
+TEST(ExpScenario, RejectsIntegersOutsideTheirFieldsRange) {
+  // Each of these once parsed: u32 fields truncated mod 2^32 (4 MSS x 8
+  // MH here) and doubles from 2^64 up were cast to uint64_t.
+  const auto rejects = [](const char* doc, const char* key) {
+    try {
+      (void)exp::parse_scenario(doc);
+      ADD_FAILURE() << "accepted: " << doc;
+    } catch (const std::runtime_error& err) {
+      EXPECT_NE(std::string(err.what()).find(key), std::string::npos) << err.what();
+    }
+  };
+  rejects(R"({"topology": {"num_mss": 4294967300}})", "topology.num_mss");
+  rejects(R"({"topology": {"num_mh": 4294967304}})", "topology.num_mh");
+  rejects(R"({"topology": {"seed": 1e30}})", "topology.seed");
+  rejects(R"({"latency": {"wired": 18446744073709551616}})", "latency.wired");
+  rejects(R"({"fault": {"crashes": [{"mss": 4294967296, "at": 1, "down_for": 1}]}})",
+          "fault.crashes.mss");
+
+  // The largest values of each width still parse exactly.
+  const auto spec = exp::parse_scenario(
+      R"({"topology": {"num_mss": 4294967295, "seed": 18446744073709551615}})");
+  EXPECT_EQ(spec.net.num_mss, std::numeric_limits<std::uint32_t>::max());
+  EXPECT_EQ(spec.net.seed, std::numeric_limits<std::uint64_t>::max());
+
+  auto huge = small_mutex_spec();
+  huge.params["requests"] = 1e30;
+  EXPECT_THROW((void)huge.param_u64("requests", 0), std::runtime_error);
 }
 
 TEST(ExpScenario, UnknownMobilityPatternEnumeratesTheValidNames) {
@@ -176,6 +201,11 @@ TEST(ExpJson, FormatDoubleIsRoundTripExact) {
 TEST(ExpScenario, UnknownFieldThrows) {
   EXPECT_THROW(exp::parse_scenario(R"({"topology": {"num_mhs": 4}})"), std::runtime_error);
   EXPECT_THROW(exp::parse_scenario(R"({"wrokload": "mutex"})"), std::runtime_error);
+  EXPECT_THROW(exp::parse_scenario(R"({"topolgy": {"num_mss": 4}})"), std::runtime_error);
+  EXPECT_THROW(exp::parse_scenario(R"({"topology": {"placement": "random"}})"),
+               std::runtime_error);
+  EXPECT_THROW(exp::parse_scenario(R"({"topology": {"charge_search_for_local": false}})"),
+               std::runtime_error);
 }
 
 // --- sweep grids -----------------------------------------------------------

@@ -407,17 +407,6 @@ TEST(Search, LocalTargetStillChargesSearchByDefault) {
   h.mss[0]->do_send_to_mh(mh_id(0), 7);  // mh0 is local to mss0
   net.run();
   EXPECT_EQ(net.ledger().searches(), 1u);
-}
-
-TEST(Search, LocalHitFreeWhenConfigured) {
-  auto cfg = small_config(3, 6);
-  cfg.charge_search_for_local = false;
-  Network net(cfg);
-  Harness h(net);
-  net.start();
-  h.mss[0]->do_send_to_mh(mh_id(0), 7);
-  net.run();
-  EXPECT_EQ(net.ledger().searches(), 0u);
   ASSERT_EQ(h.mh[0]->received.size(), 1u);
 }
 

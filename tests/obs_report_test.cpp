@@ -1,6 +1,7 @@
-// Metrics registry (src/obs) and JSON helper tests: metric semantics,
-// registration rules, escaping, and the byte-identical-for-identical-seeds
-// determinism contract of a run's record.
+// Metrics registry (src/obs) and core helper tests: metric semantics,
+// registration rules, escaping, strict number parsing, and the
+// byte-identical-for-identical-seeds determinism contract of a run's
+// record.
 
 #include <gtest/gtest.h>
 
@@ -146,6 +147,19 @@ TEST(Json, EscapesControlAndQuoteCharacters) {
   EXPECT_EQ(core::json_escape("a\"b\\c"), "a\\\"b\\\\c");
   EXPECT_EQ(core::json_escape("x\ny"), "x\\ny");
   EXPECT_EQ(core::json_escape(std::string("\x01", 1)), "\\u0001");
+}
+
+TEST(ParseNumber, AcceptsOnlyWholeInRangeUnsignedText) {
+  EXPECT_EQ(core::parse_number<unsigned>("0"), 0u);
+  EXPECT_EQ(core::parse_number<std::uint32_t>("4294967295"), 4294967295u);
+  EXPECT_EQ(core::parse_number<double>("0.25"), 0.25);
+  // atoi/strtoul/atof read each of these as some number.
+  for (const char* bad : {"", "-1", "+5", "4x", " 4", "0x10", "4294967296"}) {
+    EXPECT_FALSE(core::parse_number<std::uint32_t>(bad).has_value()) << bad;
+  }
+  for (const char* bad : {"abc", "-0.5", "nan", "inf", "1e400", "0.5%"}) {
+    EXPECT_FALSE(core::parse_number<double>(bad).has_value()) << bad;
+  }
 }
 
 // --------------------------------------------------------------------------

@@ -7,7 +7,9 @@
 #   2. gate a fresh run against the jobs=1 artifact as baseline (must
 #      pass: exit 0);
 #   3. tamper one metric mean in the baseline and require the gate to
-#      fail with the regression exit code (3) — the deliberate-fail leg.
+#      fail with the regression exit code (3) — the deliberate-fail leg;
+#   4. malformed numeric flags and out-of-range scenario integers exit 1
+#      (usage) before any run starts or any artifact is written.
 set -euo pipefail
 
 build_dir=${1:?usage: run_sweep_smoke.sh <build-dir> <scenario.json>}
@@ -54,4 +56,33 @@ if ! grep -qi "regression" "$tmp/gate.log"; then
   exit 1
 fi
 
-echo "run_sweep_smoke: jobs- and shard-independent artifacts byte-identical; gate passes clean baseline and rejects tampered one"
+expect_usage_error() {  # what, then the CLI arguments after --scenario
+  local what=$1
+  shift
+  rm -f "$tmp/rejected.json"
+  set +e
+  "$cli" "$@" --out "$tmp/rejected.json" > "$tmp/usage.log" 2>&1
+  status=$?
+  set -e
+  if [ "$status" -ne 1 ] || [ -e "$tmp/rejected.json" ]; then
+    echo "run_sweep_smoke: $what: expected exit 1 and no artifact, got $status:" >&2
+    cat "$tmp/usage.log" >&2
+    exit 1
+  fi
+}
+for flag in "--jobs -1" "--jobs 4x" "--jobs 99999999999" "--shards -2" \
+            "--tolerance abc" "--tolerance -0.5" "--tolerance nan"; do
+  # shellcheck disable=SC2086  # $flag is a flag and its value
+  expect_usage_error "$flag" --scenario "$scenario" $flag
+done
+# 4294967300 and 4294967304 once wrapped to a 4 MSS x 8 MH run.
+printf '%s\n' '{"workload": "mutex", "topology": {"num_mss": 4294967300, "num_mh": 4294967304}}' \
+  > "$tmp/wrapping.json"
+expect_usage_error "num_mss 4294967300" --scenario "$tmp/wrapping.json"
+if ! grep -qE "topology\.num_m(ss|h). is out of range" "$tmp/usage.log"; then
+  echo "run_sweep_smoke: out-of-range error does not name the key:" >&2
+  cat "$tmp/usage.log" >&2
+  exit 1
+fi
+
+echo "run_sweep_smoke: jobs- and shard-independent artifacts byte-identical; gate passes clean baseline and rejects tampered one; bad numbers exit 1"

@@ -1,25 +1,29 @@
 // mobidist_gen: deterministic scenario generator for the mobility model
-// library. Emits a valid ScenarioSpec JSON file — topology, mobility
-// model, phase schedule, region count, and a sweep block — sized for
-// 1e5-1e6 mobile hosts, directly consumable by mobidist_sweep.
+// library. Writes a scenario file — topology, mobility model, region
+// count, group workload and a sweep block — sized for 1e5-1e6 mobile
+// hosts, directly consumable by mobidist_sweep.
 //
 //   mobidist_gen --model commuter --mh 100000 --out scenarios/gen.json
 //       [--mss M] [--seed S] [--seeds K] [--regions R] [--name NAME]
 //       [--group-size G] [--messages N] [--moves-per-host N]
 //       [--sweep-models] [--no-sweep-variants] [--set key=value]...
 //
-// The output is a pure function of the flags (no clocks, no git, no
+// The file holds exactly the dotted overrides the generator applied —
+// its own flags, then every --set — grouped into sections; defaults stay
+// implicit. It is a pure function of the flags (no clocks, no git, no
 // environment), so the same invocation always produces byte-identical
-// files — the property the generator round-trip ctest pins. Before
-// writing, the tool re-parses its own output through exp::parse_scenario
-// and exp::sweep_from_json and fails loudly if the round trip drifts.
+// files. Before writing, the tool parses its own output back and fails
+// unless it yields the spec the overrides built and a non-empty grid.
 
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <iterator>
+#include <map>
 #include <stdexcept>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "core/report.hpp"
@@ -46,20 +50,54 @@ int usage(const char* argv0) {
   return 1;
 }
 
-/// Apply a --set key=value override: the value parses as a JSON scalar
-/// when it can (numbers, booleans), else as a string — so both
-/// --set mobility.phase_period=4000 and --set variant=pure_search work.
-void apply_set(exp::ScenarioSpec& spec, const std::string& text) {
+/// JSON string literal for `text`.
+std::string quoted(std::string_view text) { return '"' + core::json_escape(text) + '"'; }
+
+/// The file being written: section ("" for top-level keys) -> field ->
+/// JSON text of its value. Name-ordered, which is also the order
+/// scenario_from_json applies a document's members in.
+using Document = std::map<std::string, std::map<std::string, std::string>>;
+
+/// Apply one dotted override to `spec` and record it in `doc`; a later
+/// override of the same key replaces the earlier one in both.
+void apply(exp::ScenarioSpec& spec, Document& doc, const std::string& key,
+           const std::string& json) {
+  exp::apply_override(spec, key, *exp::json::parse(json));
+  const auto dot = key.find('.');
+  if (dot == std::string::npos) doc[""][key] = json;
+  else doc[key.substr(0, dot)][key.substr(dot + 1)] = json;
+}
+
+/// Apply a --set key=value override. The value is kept as written when
+/// it parses as JSON (numbers, booleans, quoted strings), else it becomes
+/// a string — so both --set mobility.phase_period=4000 and
+/// --set variant=pure_search work.
+void apply_set(exp::ScenarioSpec& spec, Document& doc, const std::string& text) {
   const auto eq = text.find('=');
   if (eq == std::string::npos || eq == 0) {
     throw std::runtime_error("--set needs key=value, got '" + text + "'");
   }
-  const std::string key = text.substr(0, eq);
   const std::string value = text.substr(eq + 1);
-  auto parsed = exp::json::parse(value);
-  if (!parsed) parsed = exp::json::parse('"' + value + '"');
-  if (!parsed) throw std::runtime_error("--set value '" + value + "' is not parseable");
-  exp::apply_override(spec, key, *parsed);
+  apply(spec, doc, text.substr(0, eq), exp::json::parse(value) ? value : quoted(value));
+}
+
+/// Render the document, top-level keys first, then the sweep block.
+std::string render(const Document& doc, const std::string& sweep) {
+  std::string body = "{\n";
+  for (const auto& [section, fields] : doc) {
+    if (section.empty()) {
+      for (const auto& [field, json] : fields) body += "  " + quoted(field) + ": " + json + ",\n";
+      continue;
+    }
+    body += "  " + quoted(section) + ": {";
+    std::string sep;
+    for (const auto& [field, json] : fields) {
+      body += sep + quoted(field) + ": " + json;
+      sep = ", ";
+    }
+    body += "},\n";
+  }
+  return body + "  \"sweep\": " + sweep + "\n}\n";
 }
 
 }  // namespace
@@ -89,17 +127,28 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
+    // A numeric flag's value, parsed strictly (core::parse_number); any
+    // other text exits 1 before anything is written.
+    const auto number = [&]<class T>(T& out) {
+      const char* text = next();
+      if (const auto value = core::parse_number<T>(text)) {
+        out = *value;
+        return;
+      }
+      std::fprintf(stderr, "%s: '%s' is not a valid value\n", arg.c_str(), text);
+      std::exit(1);
+    };
     if (arg == "--model") model = next();
     else if (arg == "--name") name = next();
     else if (arg == "--out") out_path = next();
-    else if (arg == "--seed") seed = std::strtoull(next(), nullptr, 10);
-    else if (arg == "--mh") mh = static_cast<std::uint32_t>(std::strtoul(next(), nullptr, 10));
-    else if (arg == "--mss") mss = static_cast<std::uint32_t>(std::strtoul(next(), nullptr, 10));
-    else if (arg == "--seeds") seeds = static_cast<std::uint32_t>(std::strtoul(next(), nullptr, 10));
-    else if (arg == "--regions") regions = static_cast<std::uint32_t>(std::strtoul(next(), nullptr, 10));
-    else if (arg == "--group-size") group_size = static_cast<std::uint32_t>(std::strtoul(next(), nullptr, 10));
-    else if (arg == "--messages") messages = std::strtoull(next(), nullptr, 10);
-    else if (arg == "--moves-per-host") moves_per_host = std::strtoull(next(), nullptr, 10);
+    else if (arg == "--seed") number(seed);
+    else if (arg == "--mh") number(mh);
+    else if (arg == "--mss") number(mss);
+    else if (arg == "--seeds") number(seeds);
+    else if (arg == "--regions") number(regions);
+    else if (arg == "--group-size") number(group_size);
+    else if (arg == "--messages") number(messages);
+    else if (arg == "--moves-per-host") number(moves_per_host);
     else if (arg == "--sweep-models") sweep_models = true;
     else if (arg == "--no-sweep-variants") sweep_variants = false;
     else if (arg == "--set") sets.emplace_back(next());
@@ -111,88 +160,87 @@ int main(int argc, char** argv) {
   }
 
   if (model.empty() || mh == 0 || out_path.empty()) return usage(argv[0]);
-  const auto pattern = mobility::pattern_from_name(model);
-  if (!pattern) {
+  if (!mobility::pattern_from_name(model)) {
     std::fprintf(stderr, "unknown model '%s'\n", model.c_str());
     return usage(argv[0]);
   }
 
+  // Backbone sized sub-linearly in the host count unless pinned: one MSS
+  // per ~1.5k hosts, clamped to [16, 512] — a million MHs get a 512-cell
+  // wired mesh, a 1e5 run 64 cells.
+  if (mss == 0) {
+    mss = static_cast<std::uint32_t>(
+        std::min<std::uint64_t>(512, std::max<std::uint64_t>(16, mh / 1500)));
+  }
+  // Event budget control: every host makes moves_per_host moves, with
+  // pauses long enough that the move stream and the message schedule
+  // overlap instead of front-loading.
+  const std::pair<const char*, std::string> flag_overrides[] = {
+      {"name", quoted(name.empty() ? "gen_" + model + "_" + std::to_string(mh) + "mh" : name)},
+      {"workload", quoted("group_mobility")},
+      {"variant", quoted("location_view")},
+      {"topology.num_mss", std::to_string(mss)},
+      {"topology.num_mh", std::to_string(mh)},
+      {"topology.seed", std::to_string(seed)},
+      {"mobility.enabled", "true"},
+      {"mobility.pattern", quoted(model)},
+      {"mobility.regions", std::to_string(regions)},
+      {"mobility.max_moves_per_host", std::to_string(moves_per_host)},
+      {"mobility.mean_pause", "150"},
+      {"mobility.mean_transit", "8"},
+      {"params.group_size", std::to_string(std::min(group_size, mh))},
+      {"params.messages", std::to_string(messages)},
+  };
   exp::ScenarioSpec spec;
+  Document doc;
   try {
-    // Backbone sized sub-linearly in the host count unless pinned: one
-    // MSS per ~1.5k hosts, clamped to [16, 512] — a million MHs get a
-    // 512-cell wired mesh, a 1e5 run 64 cells.
-    if (mss == 0) {
-      mss = static_cast<std::uint32_t>(std::min<std::uint64_t>(
-          512, std::max<std::uint64_t>(16, mh / 1500)));
-    }
-    spec.name = name.empty() ? "gen_" + model + "_" + std::to_string(mh) + "mh" : name;
-    spec.workload = "group_mobility";
-    spec.variant = "location_view";
-    spec.net.num_mss = mss;
-    spec.net.num_mh = mh;
-    spec.net.seed = seed;
-    spec.mobility = true;
-    spec.mob.pattern = *pattern;
-    spec.mob.regions = regions;
-    // Event budget control: every host makes moves_per_host moves, with
-    // pauses long enough that the move stream and the message schedule
-    // overlap instead of front-loading.
-    spec.mob.max_moves_per_host = moves_per_host;
-    spec.mob.mean_pause = 150.0;
-    spec.mob.mean_transit = 8.0;
-    spec.params["group_size"] = static_cast<double>(std::min(group_size, mh));
-    spec.params["messages"] = static_cast<double>(messages);
-    for (const auto& text : sets) apply_set(spec, text);
+    for (const auto& [key, json] : flag_overrides) apply(spec, doc, key, json);
+    for (const auto& text : sets) apply_set(spec, doc, text);
   } catch (const std::exception& err) {
     std::fprintf(stderr, "error: %s\n", err.what());
     return 1;
   }
 
-  // Render the spec, then splice the sweep block in before the closing
-  // brace (to_json has no sweep member — the runner parses it from the
-  // same document separately, exactly like hand-written scenarios).
-  std::string body = exp::to_json(spec);
-  std::string sweep = ",\"sweep\":{\"seeds\":{\"base\":" + std::to_string(seed) +
-                      ",\"count\":" + std::to_string(seeds) + "}";
+  // The sweep block is not part of the spec: the runner parses it from
+  // the same document separately, exactly like hand-written scenarios.
+  std::string sweep = "{\"seeds\": {\"base\": " + std::to_string(seed) +
+                      ", \"count\": " + std::to_string(seeds) + "}";
   std::string axes;
   if (sweep_variants) {
-    axes += "{\"key\":\"variant\",\"values\":[\"pure_search\",\"always_inform\","
+    axes += "{\"key\": \"variant\", \"values\": [\"pure_search\", \"always_inform\", "
             "\"location_view\"]}";
   }
   if (sweep_models) {
-    if (!axes.empty()) axes += ',';
-    axes += "{\"key\":\"mobility.pattern\",\"values\":[";
+    if (!axes.empty()) axes += ", ";
+    axes += "{\"key\": \"mobility.pattern\", \"values\": [";
     for (std::size_t i = 0; i < std::size(mobility::kMovePatternNames); ++i) {
-      if (i != 0) axes += ',';
-      axes += '"';
-      axes += mobility::kMovePatternNames[i];
-      axes += '"';
+      if (i != 0) axes += ", ";
+      axes += quoted(mobility::kMovePatternNames[i]);
     }
     axes += "]}";
   }
-  if (!axes.empty()) sweep += ",\"axes\":[" + axes + ']';
-  sweep += '}';
-  body.insert(body.size() - 1, sweep);
-  body += '\n';
+  if (!axes.empty()) sweep += ", \"axes\": [" + axes + ']';
+  const std::string body = render(doc, sweep + '}');
 
-  // Self-check: the emitted document must parse back to the same spec
-  // and expand to a non-empty grid before it is allowed on disk.
+  // Self-check: the emitted document must parse back to the spec the
+  // overrides built (every field compared) and expand to a non-empty
+  // grid before it is allowed on disk.
   try {
     const auto reparsed = exp::parse_scenario(body);
-    if (exp::to_json(reparsed) != exp::to_json(spec)) {
-      std::fprintf(stderr, "internal error: generated spec does not round-trip\n");
+    if (!(reparsed == spec)) {
+      std::fprintf(stderr, "error: the file does not parse back to the spec its overrides "
+                           "build (overlapping keys such as latency.wired and wired_min?)\n");
       return 1;
     }
-    const auto doc = exp::json::parse(body);
-    const auto grid = exp::sweep_from_json(*doc, reparsed.net.seed);
+    const auto grid = exp::sweep_from_json(*exp::json::parse(body), reparsed.net.seed);
     const auto plans = grid.expand(reparsed);
     if (plans.empty()) {
       std::fprintf(stderr, "internal error: generated sweep expands to zero runs\n");
       return 1;
     }
     std::fprintf(stderr, "%s: %u MSS x %u MH, model=%s, %zu planned runs\n",
-                 spec.name.c_str(), mss, mh, model.c_str(), plans.size());
+                 spec.name.c_str(), spec.net.num_mss, spec.net.num_mh, model.c_str(),
+                 plans.size());
   } catch (const std::exception& err) {
     std::fprintf(stderr, "internal error: generated scenario rejected: %s\n", err.what());
     return 1;

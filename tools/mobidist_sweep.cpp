@@ -89,12 +89,23 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
+    // A numeric flag's value, parsed strictly (core::parse_number); any
+    // other text exits 1 before anything runs.
+    const auto number = [&]<class T>(T& out) {
+      const char* text = next();
+      if (const auto value = core::parse_number<T>(text)) {
+        out = *value;
+        return;
+      }
+      std::fprintf(stderr, "%s: '%s' is not a valid value\n", arg.c_str(), text);
+      std::exit(1);
+    };
     if (arg == "--scenario") scenario_path = next();
     else if (arg == "--out") out_path = next();
     else if (arg == "--baseline") baseline_path = next();
-    else if (arg == "--tolerance") tolerance = std::atof(next());
-    else if (arg == "--jobs") jobs = static_cast<unsigned>(std::atoi(next()));
-    else if (arg == "--shards") shards = static_cast<unsigned>(std::atoi(next()));
+    else if (arg == "--tolerance") number(tolerance);
+    else if (arg == "--jobs") number(jobs);
+    else if (arg == "--shards") number(shards);
     else if (arg == "--deterministic") deterministic = true;
     else if (arg == "--list-workloads") list_workloads = true;
     else if (arg == "--help" || arg == "-h") return usage(argv[0]);
