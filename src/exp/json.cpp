@@ -7,6 +7,13 @@
 
 namespace mobidist::exp::json {
 
+std::optional<std::uint64_t> Value::as_u64() const noexcept {
+  if (!is_number()) return std::nullopt;
+  if (has_u64_) return u64_;
+  if (num_ < 0 || num_ != std::floor(num_) || num_ >= 0x1p64) return std::nullopt;
+  return static_cast<std::uint64_t>(num_);
+}
+
 const Value* Value::find(std::string_view key) const noexcept {
   if (!is_object()) return nullptr;
   const auto it = obj_.find(key);

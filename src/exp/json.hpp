@@ -62,16 +62,11 @@ class Value {
   [[nodiscard]] double as_number(double fallback = 0.0) const noexcept {
     return is_number() ? num_ : fallback;
   }
-  /// True when the number carries an exact 64-bit unsigned value (an
-  /// unsigned-integer literal in range, or the two-argument constructor).
-  [[nodiscard]] bool has_exact_u64() const noexcept { return has_u64_; }
-  /// Exact unsigned view of an integer literal; falls back to a cast of
-  /// the double value for numbers not parsed as unsigned integers, which
-  /// the caller must first check lies in [0, 2^64).
-  [[nodiscard]] std::uint64_t as_u64(std::uint64_t fallback = 0) const noexcept {
-    if (!is_number()) return fallback;
-    return has_u64_ ? u64_ : static_cast<std::uint64_t>(num_);
-  }
+  /// The exact value of a non-negative integer below 2^64: integer
+  /// literals keep every bit beyond double's 53-bit mantissa (full-range
+  /// seeds). nullopt for a non-number, a negative or fractional number,
+  /// and any number from 2^64 up, which has no uint64_t.
+  [[nodiscard]] std::optional<std::uint64_t> as_u64() const noexcept;
   /// The string; empty when the value is not a string.
   [[nodiscard]] const std::string& as_string() const noexcept { return str_; }
   /// The elements; empty when the value is not an array.

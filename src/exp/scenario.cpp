@@ -1,6 +1,5 @@
 #include "exp/scenario.hpp"
 
-#include <cmath>
 #include <cstdint>
 #include <stdexcept>
 
@@ -18,16 +17,10 @@ double require_number(std::string_view key, const json::Value& value) {
 }
 
 std::uint64_t require_u64(std::string_view key, const json::Value& value) {
-  const double n = require_number(key, value);
-  if (n < 0 || n != std::floor(n)) {
-    fail("field '" + std::string(key) + "' must be a non-negative integer");
-  }
-  // Integer literals keep their exact value beyond double's 53-bit
-  // mantissa (full-range seeds in particular); any other number from
-  // 2^64 up has no uint64_t to convert to.
-  if (value.has_exact_u64()) return value.as_u64();
-  if (n >= 0x1p64) fail("field '" + std::string(key) + "' is out of range (max 2^64-1)");
-  return static_cast<std::uint64_t>(n);
+  require_number(key, value);
+  const auto n = value.as_u64();
+  if (!n) fail("field '" + std::string(key) + "' must be a non-negative integer below 2^64");
+  return *n;
 }
 
 std::uint32_t require_u32(std::string_view key, const json::Value& value) {
@@ -113,10 +106,9 @@ double ScenarioSpec::param(std::string_view key, double fallback) const {
 std::uint64_t ScenarioSpec::param_u64(std::string_view key, std::uint64_t fallback) const {
   const auto it = params.find(key);
   if (it == params.end()) return fallback;
-  if (it->second < 0 || it->second != std::floor(it->second) || it->second >= 0x1p64) {
-    fail("param '" + std::string(key) + "' must be a non-negative integer below 2^64");
-  }
-  return static_cast<std::uint64_t>(it->second);
+  const auto n = json::Value(it->second).as_u64();
+  if (!n) fail("param '" + std::string(key) + "' must be a non-negative integer below 2^64");
+  return *n;
 }
 
 void apply_override(ScenarioSpec& spec, std::string_view key, const json::Value& value) {

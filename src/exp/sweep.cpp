@@ -12,6 +12,12 @@ namespace {
 
 [[noreturn]] void fail(const std::string& what) { throw std::runtime_error("sweep: " + what); }
 
+std::uint64_t require_u64(const char* what, const json::Value& value) {
+  const auto n = value.as_u64();
+  if (!n) fail(std::string(what) + " must be a non-negative integer below 2^64");
+  return *n;
+}
+
 }  // namespace
 
 SweepAxis SweepAxis::numbers(std::string key, std::vector<double> values) {
@@ -125,21 +131,16 @@ SweepGrid sweep_from_json(const json::Value& doc, std::uint64_t default_seed) {
     if (key == "seeds") {
       if (value.is_array()) {
         for (const auto& seed : value.as_array()) {
-          if (!seed.is_number() || seed.as_number() < 0 ||
-              seed.as_number() != std::floor(seed.as_number())) {
-            fail("seeds entries must be non-negative integers");
-          }
-          grid.seeds.push_back(seed.as_u64());
+          grid.seeds.push_back(require_u64("each seeds entry", seed));
         }
       } else if (value.is_object()) {
         const auto* base = value.find("base");
         const auto* count = value.find("count");
-        if (base == nullptr || count == nullptr || !base->is_number() ||
-            !count->is_number()) {
+        if (base == nullptr || count == nullptr) {
           fail("derived seeds need numeric 'base' and 'count'");
         }
-        grid.seeds = derive_seeds(base->as_u64(),
-                                  static_cast<std::size_t>(count->as_number()));
+        grid.seeds = derive_seeds(require_u64("seeds.base", *base),
+                                  require_u64("seeds.count", *count));
       } else {
         fail("'seeds' must be an array or {base, count}");
       }

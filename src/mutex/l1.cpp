@@ -80,8 +80,7 @@ class L1Mutex::Agent : public net::MhAgent {
 
 L1Mutex::L1Mutex(net::Network& net, CsMonitor& monitor, MutexOptions opts)
     : net_(net), monitor_(monitor) {
-  monitor.bind_metrics(net.metrics());
-  monitor.bind_stream(net.events(), "L1");
+  monitor.bind(net, "L1");
   const std::uint32_t n = net.num_mh();
   agents_.reserve(n);
   for (std::uint32_t i = 0; i < n; ++i) {

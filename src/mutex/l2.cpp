@@ -136,8 +136,7 @@ class L2Mutex::HostAgent : public net::MhAgent {
 
 L2Mutex::L2Mutex(net::Network& net, CsMonitor& monitor, MutexOptions opts)
     : net_(net), monitor_(monitor) {
-  monitor.bind_metrics(net.metrics());
-  monitor.bind_stream(net.events(), "L2");
+  monitor.bind(net, "L2");
   const std::uint32_t m = net.num_mss();
   stations_.reserve(m);
   for (std::uint32_t i = 0; i < m; ++i) {

@@ -2,17 +2,17 @@
 
 #include <utility>
 
+#include "net/network.hpp"
+
 namespace mobidist::mutex {
 
-void CsMonitor::bind_metrics(obs::Registry& registry) {
+void CsMonitor::bind(net::Network& net, std::string label) {
+  net_ = &net;
+  label_ = std::move(label);
+  auto& registry = net.metrics();
   wait_hist_ = &registry.histogram("mutex.cs_wait", obs::latency_buckets());
   grants_counter_ = &registry.counter("mutex.cs_grants");
   violations_counter_ = &registry.counter("mutex.cs_violations");
-}
-
-void CsMonitor::bind_stream(obs::EventStream& stream, std::string label) {
-  stream_ = &stream;
-  stream_label_ = std::move(label);
 }
 
 void CsMonitor::count_violation() noexcept {
@@ -22,10 +22,10 @@ void CsMonitor::count_violation() noexcept {
 
 void CsMonitor::note_request(net::MhId mh, sim::SimTime now) {
   pending_requests_[mh].push_back(now);
-  if (stream_ != nullptr) {
-    stream_->emit(now, {.kind = obs::EventKind::kCsRequest,
-                        .entity = obs::Entity::mh(net::index(mh)),
-                        .detail = stream_label_});
+  if (net_ != nullptr) {
+    net_->emit({.kind = obs::EventKind::kCsRequest,
+                .entity = obs::Entity::mh(net::index(mh)),
+                .detail = label_});
   }
 }
 
@@ -43,11 +43,11 @@ std::size_t CsMonitor::enter(net::MhId mh, std::uint64_t order_key, sim::SimTime
   if (wait_hist_ != nullptr && grant.has_request_time) {
     wait_hist_->record(grant.entered - grant.requested);
   }
-  if (stream_ != nullptr) {
-    grant.enter_event = stream_->emit(now, {.kind = obs::EventKind::kCsEnter,
-                                            .entity = obs::Entity::mh(net::index(mh)),
-                                            .arg = order_key,
-                                            .detail = stream_label_});
+  if (net_ != nullptr) {
+    grant.enter_event = net_->emit({.kind = obs::EventKind::kCsEnter,
+                                    .entity = obs::Entity::mh(net::index(mh)),
+                                    .arg = order_key,
+                                    .detail = label_});
   }
   history_.push_back(grant);
   holder_grant_ = history_.size() - 1;
@@ -72,11 +72,11 @@ void CsMonitor::exit(std::size_t grant_index, sim::SimTime now) {
   }
   history_[grant_index].exited = now;
   history_[grant_index].done = true;
-  if (stream_ != nullptr) {
-    stream_->emit(now, {.kind = obs::EventKind::kCsExit,
-                        .entity = obs::Entity::mh(net::index(history_[grant_index].mh)),
-                        .cause = history_[grant_index].enter_event,
-                        .detail = stream_label_});
+  if (net_ != nullptr) {
+    net_->emit({.kind = obs::EventKind::kCsExit,
+                .entity = obs::Entity::mh(net::index(history_[grant_index].mh)),
+                .cause = history_[grant_index].enter_event,
+                .detail = label_});
   }
   if (holder_grant_ == grant_index) {
     holder_.reset();

@@ -13,6 +13,10 @@
 #include "obs/metrics.hpp"
 #include "sim/time.hpp"
 
+namespace mobidist::net {
+class Network;
+}  // namespace mobidist::net
+
 namespace mobidist::mutex {
 
 /// Global observer of critical-section activity. Every mutex algorithm
@@ -37,18 +41,15 @@ class CsMonitor {
     obs::EventId enter_event = 0;  ///< the kCsEnter event; cause of the exit
   };
 
-  /// Publish this monitor's activity into `registry`: the
-  /// "mutex.cs_wait" histogram (request-to-grant latency in virtual
-  /// ticks) plus "mutex.cs_grants" / "mutex.cs_violations" counters.
-  /// The mutex algorithms bind their monitor to their network's registry
-  /// at construction; an unbound monitor records nothing extra.
-  void bind_metrics(obs::Registry& registry);
-
-  /// Publish CS request/enter/exit events into `stream`, tagged with
+  /// Publish this monitor's activity on `net`: the "mutex.cs_wait"
+  /// histogram (request-to-grant latency in virtual ticks) plus
+  /// "mutex.cs_grants" / "mutex.cs_violations" counters in its registry,
+  /// and CS request/enter/exit events through Network::emit, tagged with
   /// `label` ("L1", "R2'", ...) so several algorithm instances sharing
-  /// one network stay distinguishable to the stream checkers. Unbound
-  /// monitors emit nothing.
-  void bind_stream(obs::EventStream& stream, std::string label);
+  /// one network stay distinguishable to the stream checkers. The mutex
+  /// algorithms bind their monitor at construction; an unbound monitor
+  /// records only its own history.
+  void bind(net::Network& net, std::string label);
 
   /// Optional latency instrumentation: record that `mh` submitted a
   /// request now. The next enter() by the same MH is matched FIFO to the
@@ -91,11 +92,11 @@ class CsMonitor {
   std::optional<std::size_t> holder_grant_;
   std::map<net::MhId, std::deque<sim::SimTime>> pending_requests_;
   std::uint64_t violations_ = 0;
-  obs::Histogram* wait_hist_ = nullptr;     // bound via bind_metrics
+  net::Network* net_ = nullptr;             // bound via bind
+  obs::Histogram* wait_hist_ = nullptr;
   obs::Counter* grants_counter_ = nullptr;
   obs::Counter* violations_counter_ = nullptr;
-  obs::EventStream* stream_ = nullptr;      // bound via bind_stream
-  std::string stream_label_;
+  std::string label_;
 };
 
 }  // namespace mobidist::mutex

@@ -233,8 +233,7 @@ PathRevMutex::PathRevMutex(net::Network& net, CsMonitor& monitor, MutexOptions o
       bounced_counter_(net.metrics().counter("mutex.pathrev.bounced_grants")),
       skipped_disconnected_counter_(
           net.metrics().counter("mutex.pathrev.skipped_disconnected")) {
-  monitor.bind_metrics(net.metrics());
-  monitor.bind_stream(net.events(), label());
+  monitor.bind(net, label());
   const std::uint32_t m = net.num_mss();
   stations_.reserve(m);
   for (std::uint32_t i = 0; i < m; ++i) {

@@ -102,8 +102,7 @@ class R1Mutex::Agent : public net::MhAgent {
 
 R1Mutex::R1Mutex(net::Network& net, CsMonitor& monitor, MutexOptions opts)
     : net_(net), monitor_(monitor) {
-  monitor.bind_metrics(net.metrics());
-  monitor.bind_stream(net.events(), "R1");
+  monitor.bind(net, "R1");
   const std::uint32_t n = net.num_mh();
   agents_.reserve(n);
   for (std::uint32_t i = 0; i < n; ++i) {

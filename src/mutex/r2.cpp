@@ -250,8 +250,7 @@ R2Mutex::R2Mutex(net::Network& net, CsMonitor& monitor, RingVariant variant,
       token_passes_counter_(net.metrics().counter("mutex.r2.token_passes")),
       token_grants_counter_(net.metrics().counter("mutex.r2.token_grants")),
       skipped_disconnected_counter_(net.metrics().counter("mutex.r2.skipped_disconnected")) {
-  monitor.bind_metrics(net.metrics());
-  monitor.bind_stream(net.events(), variant_label());
+  monitor.bind(net, variant_label());
   const std::uint32_t m = net.num_mss();
   stations_.reserve(m);
   for (std::uint32_t i = 0; i < m; ++i) {

@@ -75,6 +75,7 @@ class FormationLayer {
     Envelope env;                 ///< the message, ready to deliver
     obs::EventId send_id = 0;     ///< kSend emitted when it was enqueued
     std::size_t bytes = 0;        ///< wire_size() at enqueue time
+    std::uint64_t send_clock = 0; ///< the kSend's Lamport clock once it crosses streams
   };
 
   /// A formed packet handed to the transmit callback.

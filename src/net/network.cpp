@@ -113,10 +113,10 @@ const MobileHost& Network::mh(MhId id) const {
 }
 
 void Network::require_legacy(const char* what) const {
-  if (sharded()) {
+  if (shard_count() > 1) {
     throw std::logic_error(std::string("Network: ") + what +
-                           " is not supported on the sharded engine (cfg.shards >= 1); "
-                           "sharded runs are static-topology only");
+                           " is not supported on more than one shard; runs that move, "
+                           "search or inject faults need cfg.shards <= 1");
   }
 }
 
@@ -299,7 +299,7 @@ void Network::send_wired(MssId from, MssId to, Envelope env) {
                                .arg = env.proto});
     sl().sched.schedule_at(wired_hold(from, to, sl().sched.now()),
                            [this, from, to, send_id, env = std::move(env)]() mutable {
-                             arrive_wired(from, to, send_id, 0, std::move(env));
+                             arrive_wired(from, to, {send_id, 0}, 0, std::move(env));
                            });
     return;
   }
@@ -310,29 +310,27 @@ void Network::send_wired(MssId from, MssId to, Envelope env) {
   if (!env.control) sl().ledger.charge_fixed();
   const auto arrival = wired_arrival(from, to);
   const auto channel = channel_key(ChannelType::kWired, index(from), index(to));
-  const auto send_id = emit({.kind = obs::EventKind::kSend,
-                             .entity = entity_of(from),
-                             .peer = entity_of(to),
-                             .channel = channel,
-                             .arg = env.proto});
-  if (sharded()) {
-    // Every cross-MSS hop rides the window mailbox — even when both
-    // lanes share a shard — so the injection order (and with it the
-    // receiver's event sequence) is a pure function of the mail set,
-    // not of the grouping. The cause crosses streams as an encoded ref
-    // plus the sender's Lamport clock (see obs/merge.hpp).
-    const auto cross_cause = obs::make_cross_ref(tls_shard_, send_id);
-    const auto send_clock = sl().events.lamport_of(send_id);
-    post_mail(index(from), index(to), arrival,
-              [this, from, to, cross_cause, channel, send_clock,
-               env = std::move(env)]() mutable {
-                arrive_wired(from, to, cross_cause, channel, std::move(env), send_clock);
-              });
-    return;
-  }
-  sl().sched.schedule_at(arrival, [this, from, to, send_id, channel, env = std::move(env)]() mutable {
-    arrive_wired(from, to, send_id, channel, std::move(env));
+  const auto cause = wired_cause(emit({.kind = obs::EventKind::kSend,
+                                       .entity = entity_of(from),
+                                       .peer = entity_of(to),
+                                       .channel = channel,
+                                       .arg = env.proto}));
+  carry_wired(from, to, arrival, [this, from, to, cause, channel, env = std::move(env)]() mutable {
+    arrive_wired(from, to, cause, channel, std::move(env));
   });
+}
+
+Network::WiredCause Network::wired_cause(obs::EventId send_id) const {
+  if (!sharded()) return {send_id, 0};
+  return {obs::make_cross_ref(tls_shard_, send_id), sl().events.lamport_of(send_id)};
+}
+
+void Network::carry_wired(MssId from, MssId to, sim::SimTime arrival, sim::SmallFn land) {
+  if (sharded()) {
+    post_mail(index(from), index(to), arrival, std::move(land));
+  } else {
+    sl().sched.schedule_at(arrival, std::move(land));
+  }
 }
 
 sim::SimTime Network::wired_hold(MssId from, MssId to, sim::SimTime at) {
@@ -356,15 +354,15 @@ sim::SimTime Network::wired_arrival(MssId from, MssId to) {
   return fifo_arrival(wired_clock(from, to), ChannelType::kWired, latency);
 }
 
-void Network::arrive_wired(MssId from, MssId to, obs::EventId send_id, std::uint64_t channel,
-                           Envelope env, std::uint64_t send_clock) {
+void Network::arrive_wired(MssId from, MssId to, WiredCause cause, std::uint64_t channel,
+                           Envelope env) {
   const auto recv_id = emit({.kind = obs::EventKind::kRecv,
                              .entity = entity_of(to),
                              .peer = entity_of(from),
-                             .cause = send_id,
+                             .cause = cause.id,
                              .channel = channel,
                              .arg = env.proto,
-                             .cause_clock = send_clock});
+                             .cause_clock = cause.clock});
   obs::CauseScope scope(sl().events, recv_id);
   deliver_wired(to, std::move(env));
 }
@@ -427,50 +425,35 @@ void Network::transmit_packet(FormationLayer::Packet packet) {
   } else {
     ++slice.formation_size_flushes;
   }
-  if (sharded()) {
-    // The packet and each coalesced message crosses streams: rewrite
-    // their ids to cross refs and carry the senders' Lamport clocks so
-    // the receiving stream's clocks advance identically in every
-    // grouping.
-    const auto stream = tls_shard_;
-    const auto packet_clock = slice.events.lamport_of(packet_id);
-    std::vector<std::uint64_t> item_clocks;
-    item_clocks.reserve(packet.items.size());
-    for (auto& item : packet.items) {
-      item_clocks.push_back(slice.events.lamport_of(item.send_id));
-      item.send_id = obs::make_cross_ref(stream, item.send_id);
-    }
-    post_mail(index(packet.from), index(packet.to), arrival,
-              [this, packet = std::move(packet),
-               cross_id = obs::make_cross_ref(stream, packet_id), channel, packet_clock,
-               item_clocks = std::move(item_clocks)]() mutable {
-                arrive_packet(std::move(packet), cross_id, channel, packet_clock,
-                              std::move(item_clocks));
-              });
-    return;
+  // The packet and each coalesced message cross streams like any send.
+  const auto packet_cause = wired_cause(packet_id);
+  for (auto& item : packet.items) {
+    const auto cause = wired_cause(item.send_id);
+    item.send_id = cause.id;
+    item.send_clock = cause.clock;
   }
-  slice.sched.schedule_at(arrival, [this, packet = std::move(packet), packet_id,
-                                    channel]() mutable {
-    arrive_packet(std::move(packet), packet_id, channel);
-  });
+  const auto from = packet.from;
+  const auto to = packet.to;
+  carry_wired(from, to, arrival,
+              [this, packet = std::move(packet), packet_cause, channel]() mutable {
+                arrive_packet(std::move(packet), packet_cause, channel);
+              });
 }
 
-void Network::arrive_packet(FormationLayer::Packet packet, obs::EventId packet_id,
-                            std::uint64_t channel, std::uint64_t packet_clock,
-                            std::vector<std::uint64_t> item_clocks) {
+void Network::arrive_packet(FormationLayer::Packet packet, WiredCause packet_cause,
+                            std::uint64_t channel) {
   emit({.kind = obs::EventKind::kPacketFlush,
         .entity = entity_of(packet.to),
         .peer = entity_of(packet.from),
-        .cause = packet_id,
+        .cause = packet_cause.id,
         .channel = channel,
         .arg = packet.items.size(),
         .detail = packet.trigger,
-        .cause_clock = packet_clock});
+        .cause_clock = packet_cause.clock});
   // Disgorge in send order; each message's recv consumes its own send,
   // so the per-message FIFO history is indistinguishable from unbatched
   // delivery at the same instant.
-  for (std::size_t i = 0; i < packet.items.size(); ++i) {
-    auto& item = packet.items[i];
+  for (auto& item : packet.items) {
     const auto recv_id = emit({.kind = obs::EventKind::kRecv,
                                .entity = entity_of(packet.to),
                                .peer = entity_of(packet.from),
@@ -478,7 +461,7 @@ void Network::arrive_packet(FormationLayer::Packet packet, obs::EventId packet_i
                                .channel = channel,
                                .arg = item.env.proto,
                                .detail = "packet",
-                               .cause_clock = i < item_clocks.size() ? item_clocks[i] : 0});
+                               .cause_clock = item.send_clock});
     obs::CauseScope scope(sl().events, recv_id);
     deliver_wired(packet.to, std::move(item.env));
   }
@@ -793,21 +776,22 @@ void Network::send_to_mh_attempt(MssId from, Envelope env, MhId to, SendPolicy p
     if (sl().formation) sl().formation->flush_pair(from, at, "barrier");
     const auto arrival = wired_arrival(from, at);
     const auto channel = channel_key(ChannelType::kWired, index(from), index(at));
-    const auto fwd_id = emit({.kind = obs::EventKind::kSend,
-                              .entity = entity_of(from),
-                              .peer = entity_of(at),
-                              .channel = channel,
-                              .arg = proto,
-                              .detail = "forward"});
-    sl().sched.schedule_at(arrival, [this, from, at, fwd_id, channel, proto,
-                                     deliver = std::move(deliver)]() mutable {
+    const auto fwd = wired_cause(emit({.kind = obs::EventKind::kSend,
+                                       .entity = entity_of(from),
+                                       .peer = entity_of(at),
+                                       .channel = channel,
+                                       .arg = proto,
+                                       .detail = "forward"}));
+    carry_wired(from, at, arrival, [this, from, at, fwd, channel, proto,
+                                    deliver = std::move(deliver)]() mutable {
       const auto recv_id = emit({.kind = obs::EventKind::kRecv,
                                  .entity = entity_of(at),
                                  .peer = entity_of(from),
-                                 .cause = fwd_id,
+                                 .cause = fwd.id,
                                  .channel = channel,
                                  .arg = proto,
-                                 .detail = "forward"});
+                                 .detail = "forward",
+                                 .cause_clock = fwd.clock});
       obs::CauseScope scope(sl().events, recv_id);
       deliver();
     });

@@ -72,9 +72,9 @@ struct NetConfig {
   /// conservative time windows (see sim::ShardGroup). The sharded
   /// engine's per-seed results are identical for EVERY shard count —
   /// only wall-clock time changes — but differ from the legacy
-  /// engine's, because each lane draws from its own RNG stream. It
-  /// supports static topologies only (no mobility, no faults); the
-  /// mutating entry points throw std::logic_error when sharded.
+  /// engine's, because each lane draws from its own RNG stream. Moves,
+  /// searches and faults run on one shard only; their entry points
+  /// throw std::logic_error on more.
   std::uint32_t shards = 0;
   bool operator==(const NetConfig&) const = default;
 };
@@ -205,7 +205,7 @@ class Network {
   /// partitions. Call once, before running the scheduler. The plane
   /// draws from its own RNG stream (fault::fault_stream_seed(cfg.seed)),
   /// never from rng_, so a zero-probability profile leaves the run
-  /// byte-identical to one without a plane. Legacy engine only.
+  /// byte-identical to one without a plane. One shard at most.
   fault::FaultPlane& install_fault_plane(fault::FaultProfile profile);
   /// The installed fault plane; nullptr when the run has none.
   [[nodiscard]] fault::FaultPlane* fault_plane() noexcept { return fault_.get(); }
@@ -273,7 +273,7 @@ class Network {
 
   /// Locate a MH (oracle or broadcast per config) and deliver `env` over
   /// the final wireless hop, retrying across moves. See SendPolicy for
-  /// disconnect behaviour. `env.dst` must be the MH. Legacy engine only.
+  /// disconnect behaviour. `env.dst` must be the MH. One shard at most.
   void send_to_mh(MssId from, Envelope env, MhId to, SendPolicy policy);
 
   /// MH-to-MH relay entry point (wireless uplink leg is charged by the
@@ -287,12 +287,12 @@ class Network {
   using LocateCallback = std::function<void(MssId, bool disconnected)>;
   /// Start a location search from `from` for `target` (mode chosen by
   /// NetConfig::search_mode); `cb` fires when the search resolves.
-  /// Legacy engine only.
+  /// One shard at most.
   void locate(MssId from, MhId target, LocateCallback cb);
 
   /// MH -> MSS join/reconnect transmission in the *new* cell (the MH is
   /// not yet local there, so this cannot ride the normal uplink).
-  /// Legacy engine only.
+  /// One shard at most.
   void submit_join(MhId from, MssId target, msg::Join join);
 
   /// Broadcast-search protocol handlers (invoked by Mss::dispatch).
@@ -389,8 +389,8 @@ class Network {
   [[nodiscard]] ShardSlice& sl() noexcept { return *slices_[tls_shard_]; }
   [[nodiscard]] const ShardSlice& sl() const noexcept { return *slices_[tls_shard_]; }
 
-  /// Throw std::logic_error unless on the legacy engine: `what` names
-  /// the unsupported entry point.
+  /// Throw std::logic_error when the run has more than one shard: `what`
+  /// names the entry point that needs a single one.
   void require_legacy(const char* what) const;
 
   /// The RNG stream for work owned by `lane`: the lane's own stream in
@@ -432,6 +432,12 @@ class Network {
 
   void deliver_wired(MssId to, Envelope env);
 
+  /// A wired send as its recv names it (see wired_cause()).
+  struct WiredCause {
+    obs::EventId id = 0;
+    std::uint64_t clock = 0;
+  };
+
   // --- formation (wired batching) -------------------------------------------
 
   /// Batched wire path: emit the per-message kSend, charge the
@@ -443,12 +449,9 @@ class Network {
   /// (via the window mailbox when sharded).
   void transmit_packet(FormationLayer::Packet packet);
   /// Packet arrival: emit kPacketFlush, then deliver the coalesced
-  /// messages in send order. In the sharded engine `packet_id` and every
-  /// item's send_id arrive as cross-stream refs, with the senders'
-  /// Lamport clocks carried alongside.
-  void arrive_packet(FormationLayer::Packet packet, obs::EventId packet_id,
-                     std::uint64_t channel, std::uint64_t packet_clock = 0,
-                     std::vector<std::uint64_t> item_clocks = {});
+  /// messages in send order, each caused by its item's send.
+  void arrive_packet(FormationLayer::Packet packet, WiredCause packet_cause,
+                     std::uint64_t channel);
 
   // --- wired hop --------------------------------------------------------------
   //
@@ -469,11 +472,15 @@ class Network {
   /// from -> to: one latency draw on from's lane plus any fault spike,
   /// held past outages, then FIFO-clamped behind the channel's clock.
   [[nodiscard]] sim::SimTime wired_arrival(MssId from, MssId to);
-  /// Wired arrival: emit the recv and dispatch at `to`. `send_clock`
-  /// carries the sender's Lamport clock when `send_id` is a cross-stream
-  /// ref (sharded engine).
-  void arrive_wired(MssId from, MssId to, obs::EventId send_id, std::uint64_t channel,
-                    Envelope env, std::uint64_t send_clock = 0);
+  /// A send as its recv names it: on the sharded engine a cross-stream
+  /// ref plus the sender's Lamport clock (obs/merge.hpp), else {id, 0}.
+  [[nodiscard]] WiredCause wired_cause(obs::EventId send_id) const;
+  /// Land a wired hop at `arrival`; when sharded, always by mail (even
+  /// within one shard), so the receiver's order depends on the mail set.
+  void carry_wired(MssId from, MssId to, sim::SimTime arrival, sim::SmallFn land);
+  /// Wired arrival: emit the recv and dispatch at `to`.
+  void arrive_wired(MssId from, MssId to, WiredCause cause, std::uint64_t channel,
+                    Envelope env);
 
   // --- reliable wireless hop (ack/retransmit + dedup) -----------------------
   //

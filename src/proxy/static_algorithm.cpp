@@ -8,8 +8,7 @@ using net::MssId;
 ProxiedLamport::ProxiedLamport(net::Network& net, ProxyService& proxies,
                                mutex::CsMonitor& monitor, mutex::MutexOptions opts)
     : net_(net), proxies_(proxies), monitor_(monitor), opts_(opts) {
-  monitor.bind_metrics(net.metrics());
-  monitor.bind_stream(net.events(), "proxy");
+  monitor.bind(net, "proxy");
   const std::uint32_t m = net.num_mss();
   pending_.resize(m);
   next_req_.assign(m, 1);
@@ -120,8 +119,7 @@ ProxiedPathRev::ProxiedPathRev(net::Network& net, ProxyService& proxies,
       opts_(opts),
       claim_hops_counter_(net.metrics().counter("proxy.pathrev.claim_hops")),
       token_passes_counter_(net.metrics().counter("proxy.pathrev.token_passes")) {
-  monitor.bind_metrics(net.metrics());
-  monitor.bind_stream(net.events(), label());
+  monitor.bind(net, label());
   const std::uint32_t m = net.num_mss();
   pending_.assign(net.num_mh(), 0);
   engines_.reserve(m);

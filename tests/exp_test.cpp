@@ -4,8 +4,12 @@
 // regression gate (pass AND deliberate fail). The parallel suites carry
 // the `sweep` ctest label so the TSan preset can select them.
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <limits>
 #include <string>
 #include <vector>
@@ -387,6 +391,44 @@ TEST(ExpRunner, ScaleMetricsIdenticalForEveryShardCount) {
     ASSERT_TRUE(sn.ok) << sn.error;
     EXPECT_EQ(sn.metrics, s1.metrics) << "shards=" << shards;
   }
+}
+
+// Every committed scenario passes every trace checker on a one-shard
+// sharded engine, where wired hops ride the window mailbox and the check
+// reads the canonical merged trace. The library marks every builtin
+// shard-safe so no plan collapses to the legacy engine; only plans with
+// background mobility or a fault profile are left out.
+TEST(ExpRunner, EveryScenarioPassesItsCheckersOnOneShard) {
+  const auto& builtin = exp::WorkloadLibrary::builtin();
+  exp::WorkloadLibrary one_shard;
+  for (const auto& name : builtin.names()) {
+    one_shard.add(name, *builtin.find(name), /*shard_safe=*/true);
+  }
+  std::vector<std::filesystem::path> files;
+  for (const auto& entry : std::filesystem::directory_iterator(MOBIDIST_SCENARIO_DIR)) {
+    if (entry.path().extension() == ".json") files.push_back(entry.path());
+  }
+  std::sort(files.begin(), files.end());
+  ASSERT_FALSE(files.empty());
+
+  std::size_t mobility_group_runs = 0;
+  for (const auto& file : files) {
+    std::ifstream in(file);
+    const std::string text{std::istreambuf_iterator<char>(in), {}};
+    const auto doc = exp::json::parse(text);
+    ASSERT_TRUE(doc.has_value()) << file;
+    const auto spec = exp::scenario_from_json(*doc);
+    for (auto plan : exp::sweep_from_json(*doc, spec.net.seed).expand(spec)) {
+      if (plan.spec.mobility || plan.spec.has_faults()) continue;
+      plan.spec.net.shards = 1;
+      const auto result = exp::run_scenario(plan, one_shard);
+      EXPECT_TRUE(result.ok) << file.filename() << " " << plan.cell << " seed " << plan.seed
+                             << ": " << result.error;
+      if (spec.name == "mobility_group") ++mobility_group_runs;
+    }
+  }
+  // mobility_group's builder moves its own members: all 18 runs count.
+  EXPECT_EQ(mobility_group_runs, 18u);
 }
 
 TEST(ExpRunner, UnknownWorkloadFailsLoudly) {

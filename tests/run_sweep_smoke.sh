@@ -8,8 +8,9 @@
 #      pass: exit 0);
 #   3. tamper one metric mean in the baseline and require the gate to
 #      fail with the regression exit code (3) — the deliberate-fail leg;
-#   4. malformed numeric flags and out-of-range scenario integers exit 1
-#      (usage) before any run starts or any artifact is written.
+#   4. malformed numeric flags, out-of-range scenario integers and
+#      out-of-range sweep seeds exit 1 (usage) before any run starts or
+#      any artifact is written.
 set -euo pipefail
 
 build_dir=${1:?usage: run_sweep_smoke.sh <build-dir> <scenario.json>}
@@ -84,5 +85,18 @@ if ! grep -qE "topology\.num_m(ss|h). is out of range" "$tmp/usage.log"; then
   cat "$tmp/usage.log" >&2
   exit 1
 fi
+# Sweep seeds follow the same rule: 1e30 and -2 were once cast to
+# uint64_t / size_t (undefined behaviour) and 2.5 was truncated.
+for seeds in '[1e30]' '[-1]' '[1.5]' '{"base": 1e30, "count": 2}' \
+             '{"base": 1, "count": 1e30}' '{"base": 1, "count": -2}' \
+             '{"base": 1, "count": 2.5}'; do
+  printf '{"workload": "mutex", "sweep": {"seeds": %s}}\n' "$seeds" > "$tmp/seeds.json"
+  expect_usage_error "seeds $seeds" --scenario "$tmp/seeds.json"
+  if ! grep -qF "must be a non-negative integer below 2^64" "$tmp/usage.log"; then
+    echo "run_sweep_smoke: seeds $seeds: rejected for the wrong reason:" >&2
+    cat "$tmp/usage.log" >&2
+    exit 1
+  fi
+done
 
 echo "run_sweep_smoke: jobs- and shard-independent artifacts byte-identical; gate passes clean baseline and rejects tampered one; bad numbers exit 1"
