@@ -1,7 +1,7 @@
 #pragma once
 
-// Shared harness for the bench binaries. Every bench describes its run
-// matrix as ScenarioSpec cells, executes them concurrently on the
+// Shared harness for the E8-E11 bench binaries. Every bench describes its
+// run matrix as ScenarioSpec cells, executes them concurrently on the
 // exp::ParallelRunner, reads measurements back from the aggregated
 // summaries, and writes the versioned BENCH_<name>.json sweep artifact.
 // Failures are loud: any run that trips an obs trace checker (or throws
@@ -63,9 +63,9 @@ class Sections {
   void run() {
     const auto t0 = std::chrono::steady_clock::now();
     const exp::ParallelRunner runner(jobs_from_env());
-    results_ = runner.run(plans_);
+    const auto results = runner.run(plans_);
     bool failed = false;
-    for (const auto& result : results_) {
+    for (const auto& result : results) {
       if (!result.ok) {
         std::cerr << name_ << ": run failed [" << result.cell << " seed=" << result.seed
                   << "]: " << result.error << "\n";
@@ -73,7 +73,7 @@ class Sections {
       }
     }
     if (failed) std::exit(1);
-    report_ = exp::aggregate(name_, grid_, plans_, results_);
+    report_ = exp::aggregate(name_, grid_, plans_, results);
     report_.jobs = runner.jobs();
     report_.wall_clock_sec =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
@@ -98,15 +98,6 @@ class Sections {
     return it->second.mean;
   }
 
-  /// Per-run access for per-seed tables.
-  [[nodiscard]] std::vector<const exp::RunResult*> runs(std::string_view cell) const {
-    std::vector<const exp::RunResult*> out;
-    for (std::size_t i = 0; i < plans_.size(); ++i) {
-      if (plans_[i].cell == cell) out.push_back(&results_[i]);
-    }
-    return out;
-  }
-
   [[nodiscard]] const exp::SweepReport& report() const noexcept { return report_; }
 
   /// Mutable access for provenance fields the bench sets after run()
@@ -125,7 +116,6 @@ class Sections {
   std::string name_;
   exp::SweepGrid grid_;
   std::vector<exp::RunPlan> plans_;
-  std::vector<exp::RunResult> results_;
   exp::SweepReport report_;
 };
 

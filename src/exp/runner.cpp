@@ -100,7 +100,7 @@ void mobility_metrics(ScenarioContext& ctx, const mobility::MobilityDriver& driv
   }
 }
 
-// --- mutex: L1 / L2 / ring family / pathrev (benches e1, e2, e7, e10) ------
+// --- mutex: L1 / L2 / ring family / pathrev (E1, E2, E7, E10) --------------
 
 void build_ring(ScenarioContext& ctx);
 
@@ -178,11 +178,9 @@ void build_mutex(ScenarioContext& ctx) {
   }
 
   schedule_chaos_moves(ctx);
-
-  if (const auto until = spec.param_u64("run_until", 0); until != 0) ctx.run_until(until);
 }
 
-// --- ring: R1 / R2 / R2' / R2'' (benches e3, e4; chaos) --------------------
+// --- ring: R1 / R2 / R2' / R2'' (E3, E4; chaos) ----------------------------
 
 void build_ring(ScenarioContext& ctx) {
   const auto& spec = ctx.spec();
@@ -247,7 +245,7 @@ void build_ring(ScenarioContext& ctx) {
   schedule_chaos_moves(ctx);
 }
 
-// --- delivery: one locate-and-deliver (bench a1) ---------------------------
+// --- delivery: one locate-and-deliver (A1) ---------------------------------
 
 class PingStation : public net::MssAgent {
  public:
@@ -281,7 +279,7 @@ void build_delivery(ScenarioContext& ctx) {
   ctx.metric("delivered", [host] { return static_cast<double>(host->received); });
 }
 
-// --- relay_burst: MH-to-MH FIFO resequencer (bench a2) ---------------------
+// --- relay_burst: MH-to-MH FIFO resequencer (A2) ---------------------------
 
 class BurstReceiver : public net::MhAgent {
  public:
@@ -335,7 +333,7 @@ void build_relay_burst(ScenarioContext& ctx) {
   });
 }
 
-// --- lazy_proxy: inform-period U-curve (bench a3) --------------------------
+// --- lazy_proxy: inform-period U-curve (A3) --------------------------------
 
 void build_lazy_proxy(ScenarioContext& ctx) {
   const auto& spec = ctx.spec();
@@ -370,7 +368,7 @@ void build_lazy_proxy(ScenarioContext& ctx) {
   ctx.metric("delivered", [delivered] { return static_cast<double>(*delivered); });
 }
 
-// --- multicast: flood+handoff vs per-recipient search (bench a4) -----------
+// --- multicast: flood+handoff vs per-recipient search (A4) -----------------
 
 class NaiveMcastSender : public net::MssAgent {
  public:
@@ -451,7 +449,7 @@ void build_multicast(ScenarioContext& ctx) {
   }
 }
 
-// --- group: the three §4 location strategies (bench e5) --------------------
+// --- group: the three §4 location strategies (E5) --------------------------
 
 /// Variant names shared by the `group` and `group_mobility` workloads.
 constexpr std::string_view kGroupVariantNames[] = {"pure_search", "always_inform",
@@ -569,7 +567,7 @@ void build_group_mobility(ScenarioContext& ctx) {
   ctx.metric("messages_sent", [counter] { return static_cast<double>(*counter); });
 }
 
-// --- proxy_mutex: Lamport over the three proxy scopes (bench e6) -----------
+// --- proxy_mutex: Lamport over the three proxy scopes (E6) -----------------
 
 void build_proxy_mutex(ScenarioContext& ctx) {
   const auto& spec = ctx.spec();
@@ -906,21 +904,10 @@ RunResult run_scenario(const RunPlan& plan, const WorkloadLibrary& workloads) {
       mobility_metrics(ctx, driver);
     }
 
-    if (ctx.run_until_ != 0 && net.sharded()) {
-      // run_until drives one scheduler directly, bypassing the window
-      // protocol; no current shard-safe workload requests it, so reject
-      // rather than silently run a partial system.
-      throw std::runtime_error("run_until is not supported on the sharded engine");
-    }
-
     const auto sim_begin = std::chrono::steady_clock::now();
     net.start();
     for (const auto& hook : ctx.after_start_) hook();
-    if (ctx.run_until_ != 0) {
-      net.sched().run_until(ctx.run_until_);
-    } else {
-      net.run();
-    }
+    net.run();
     result.wall_sec =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - sim_begin)
             .count();

@@ -63,10 +63,6 @@ class ScenarioContext {
     extras_.emplace_back(std::move(name), std::move(producer));
   }
 
-  /// Truncate the run at virtual time `t` instead of draining the
-  /// scheduler (deliberate-stall scenarios).
-  void run_until(sim::SimTime t) noexcept { run_until_ = t; }
-
   /// Invoked by the runner right after Network::start() (mobility
   /// drivers schedule their first departures here).
   void after_start(std::function<void()> hook) { after_start_.push_back(std::move(hook)); }
@@ -84,7 +80,6 @@ class ScenarioContext {
   std::vector<std::shared_ptr<void>> owned_;
   std::vector<std::pair<std::string, std::function<double()>>> extras_;
   std::vector<std::function<void()>> after_start_;
-  sim::SimTime run_until_ = 0;  ///< 0 = drain
 };
 
 /// Named collection of workload builders — an explicit object rather

@@ -12,6 +12,11 @@ namespace {
 
 [[noreturn]] void fail(const std::string& what) { throw std::runtime_error("sweep: " + what); }
 
+// The most runs one sweep may expand to. A derived seed count or a
+// cells x seeds product above it is rejected before anything is
+// allocated, so a typo cannot exhaust memory before the first run.
+constexpr std::size_t kMaxSweepRuns = std::size_t{1} << 20;
+
 std::uint64_t require_u64(const char* what, const json::Value& value) {
   const auto n = value.as_u64();
   if (!n) fail(std::string(what) + " must be a non-negative integer below 2^64");
@@ -84,10 +89,16 @@ std::vector<RunPlan> SweepGrid::expand(const ScenarioSpec& base) const {
     if (axis.values.empty()) fail("axis '" + axis.key + "' has no values");
   }
 
+  // Bound cells x seeds before reserving; dividing first cannot overflow.
+  std::size_t cells = 1;
+  for (const auto& axis : axes) {
+    if (axis.values.size() > kMaxSweepRuns / cells) fail("more than 2^20 cells");
+    cells *= axis.values.size();
+  }
+  if (seeds.size() > kMaxSweepRuns / cells) fail("more than 2^20 runs (cells x seeds)");
+
   // Odometer over the axes (outermost = first axis), seeds innermost.
   std::vector<RunPlan> plans;
-  std::size_t cells = 1;
-  for (const auto& axis : axes) cells *= axis.values.size();
   plans.reserve(cells * seeds.size());
 
   std::vector<std::size_t> pick(axes.size(), 0);
@@ -139,8 +150,9 @@ SweepGrid sweep_from_json(const json::Value& doc, std::uint64_t default_seed) {
         if (base == nullptr || count == nullptr) {
           fail("derived seeds need numeric 'base' and 'count'");
         }
-        grid.seeds = derive_seeds(require_u64("seeds.base", *base),
-                                  require_u64("seeds.count", *count));
+        const auto n = require_u64("seeds.count", *count);
+        if (n > kMaxSweepRuns) fail("seeds.count must be at most 2^20 (1048576)");
+        grid.seeds = derive_seeds(require_u64("seeds.base", *base), n);
       } else {
         fail("'seeds' must be an array or {base, count}");
       }

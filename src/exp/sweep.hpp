@@ -56,13 +56,14 @@ struct SweepGrid {
   [[nodiscard]] static SweepGrid single(std::uint64_t seed);
 
   /// Cross-product expansion; throws std::runtime_error on an unknown
-  /// axis key or an empty seed list / axis.
+  /// axis key, an empty seed list / axis, or more than 2^20 runs.
   [[nodiscard]] std::vector<RunPlan> expand(const ScenarioSpec& base) const;
 };
 
 /// Parse the "sweep" member of a scenario document:
 ///   "sweep": {"seeds": [1,2,3], "axes": [{"key": "...", "values": [...]}]}
-/// or "seeds": {"base": 42, "count": 8} for a derived stream. A missing
+/// or "seeds": {"base": 42, "count": 8} for a derived stream (count at
+/// most 2^20). A missing
 /// "sweep" member yields single(base-spec seed). Throws on malformed input.
 [[nodiscard]] SweepGrid sweep_from_json(const json::Value& doc, std::uint64_t default_seed);
 

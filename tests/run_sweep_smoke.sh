@@ -8,9 +8,10 @@
 #      pass: exit 0);
 #   3. tamper one metric mean in the baseline and require the gate to
 #      fail with the regression exit code (3) — the deliberate-fail leg;
-#   4. malformed numeric flags, out-of-range scenario integers and
-#      out-of-range sweep seeds exit 1 (usage) before any run starts or
-#      any artifact is written.
+#   4. malformed numeric flags, out-of-range scenario integers,
+#      out-of-range sweep seeds and a seed count above the 2^20-run
+#      limit exit 1 (usage) before any run starts or any artifact is
+#      written.
 set -euo pipefail
 
 build_dir=${1:?usage: run_sweep_smoke.sh <build-dir> <scenario.json>}
@@ -94,6 +95,18 @@ for seeds in '[1e30]' '[-1]' '[1.5]' '{"base": 1e30, "count": 2}' \
   expect_usage_error "seeds $seeds" --scenario "$tmp/seeds.json"
   if ! grep -qF "must be a non-negative integer below 2^64" "$tmp/usage.log"; then
     echo "run_sweep_smoke: seeds $seeds: rejected for the wrong reason:" >&2
+    cat "$tmp/usage.log" >&2
+    exit 1
+  fi
+done
+# A legal u64 count above the 2^20-run limit once died in a bare
+# std::bad_alloc; it must name the key instead.
+for count in 1e18 1048577; do
+  printf '{"workload": "mutex", "sweep": {"seeds": {"base": 1, "count": %s}}}\n' "$count" \
+    > "$tmp/seeds.json"
+  expect_usage_error "seeds.count $count" --scenario "$tmp/seeds.json"
+  if ! grep -qF "seeds.count must be at most 2^20" "$tmp/usage.log"; then
+    echo "run_sweep_smoke: seeds.count $count: rejected for the wrong reason:" >&2
     cat "$tmp/usage.log" >&2
     exit 1
   fi
