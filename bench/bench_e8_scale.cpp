@@ -15,14 +15,13 @@
 // construction (the shard_independence gate pins that); what this
 // bench adds is the events/sec column, where near-linear scaling is
 // the target. The gate at the bottom asserts shards=4 >= 1.8x shards=1
-// on the largest grid point — guarded by hardware_concurrency() >= 4,
+// on the largest grid point — guarded by exp::usable_cpus() >= 4,
 // because on fewer cores the worker threads just time-slice one core
 // and the barrier overhead makes scaling physically impossible.
 
 #include <cstdint>
 #include <iostream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_support.hpp"
@@ -129,7 +128,8 @@ int main() {
   const auto base = cell("echo", top.m, top.n);
   const double s1 = sweep.report().find_cell(base + "_s1")->events_per_sec.mean;
   const double s4 = sweep.report().find_cell(base + "_s4")->events_per_sec.mean;
-  if (std::thread::hardware_concurrency() >= 4) {
+  const unsigned cpus = exp::usable_cpus();
+  if (cpus >= 4) {
     const double speedup = s1 > 0.0 ? s4 / s1 : 0.0;
     std::cout << "\nscaling gate: shards=4 / shards=1 = " << core::num(speedup)
               << " (require >= 1.8 at " << base << ")\n";
@@ -139,8 +139,7 @@ int main() {
       return 1;
     }
   } else {
-    std::cout << "\nscaling gate: skipped (hardware_concurrency() = "
-              << std::thread::hardware_concurrency()
+    std::cout << "\nscaling gate: skipped (usable CPUs = " << cpus
               << " < 4; shards=4 / shards=1 measured " << core::num(s1 > 0.0 ? s4 / s1 : 0.0)
               << "x on time-sliced cores)\n";
   }

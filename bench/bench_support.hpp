@@ -1,6 +1,6 @@
 #pragma once
 
-// Shared harness for the E8-E11 bench binaries. Every bench describes its
+// Shared harness for the E7 and E8 bench binaries. Each describes its
 // run matrix as ScenarioSpec cells, executes them concurrently on the
 // exp::ParallelRunner, reads measurements back from the aggregated
 // summaries, and writes the versioned BENCH_<name>.json sweep artifact.

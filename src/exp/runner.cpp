@@ -1,5 +1,7 @@
 #include "exp/runner.hpp"
 
+#include <sched.h>
+
 #include <atomic>
 #include <cctype>
 #include <chrono>
@@ -964,11 +966,16 @@ RunResult run_scenario(const RunPlan& plan, const WorkloadLibrary& workloads) {
 
 // --- ParallelRunner --------------------------------------------------------
 
-ParallelRunner::ParallelRunner(unsigned jobs) : jobs_(jobs) {
-  if (jobs_ == 0) {
-    jobs_ = std::max(1u, std::thread::hardware_concurrency());
+unsigned usable_cpus() {
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (::sched_getaffinity(0, sizeof set, &set) == 0 && CPU_COUNT(&set) > 0) {
+    return static_cast<unsigned>(CPU_COUNT(&set));
   }
+  return std::max(1u, std::thread::hardware_concurrency());
 }
+
+ParallelRunner::ParallelRunner(unsigned jobs) : jobs_(jobs == 0 ? usable_cpus() : jobs) {}
 
 std::vector<RunResult> ParallelRunner::run(const std::vector<RunPlan>& plans,
                                            const RunFn& fn) const {

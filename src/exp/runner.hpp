@@ -129,6 +129,11 @@ class WorkloadLibrary {
                                      const WorkloadLibrary& workloads =
                                          WorkloadLibrary::builtin());
 
+/// The CPUs this thread may run on (its sched_getaffinity mask), which
+/// taskset or a container's cpuset can set below the machine's count;
+/// hardware_concurrency() when the mask cannot be read. Never 0.
+[[nodiscard]] unsigned usable_cpus();
+
 /// Fixed-size thread pool executing independent plans concurrently.
 /// results[i] always corresponds to plans[i], and every run derives all
 /// randomness from its plan's seed, so the output is a pure function of
@@ -138,7 +143,7 @@ class ParallelRunner {
   /// Executes one plan; an exception becomes an ok=false result.
   using RunFn = std::function<RunResult(const RunPlan&)>;
 
-  /// `jobs` = 0 picks std::thread::hardware_concurrency().
+  /// `jobs` = 0 picks usable_cpus().
   explicit ParallelRunner(unsigned jobs = 0);
 
   /// The resolved worker cap (never 0).

@@ -103,7 +103,7 @@ void sweep(Algo algo, const fault::FaultProfile& profile) {
   exp::SweepGrid grid;
   for (std::uint64_t i = 0; i < kSeeds; ++i) grid.seeds.push_back(kSeedBase + i);
   const auto plans = grid.expand(chaos_spec(algo, profile));
-  const exp::ParallelRunner runner;  // hardware concurrency
+  const exp::ParallelRunner runner;  // one job per usable CPU
   const auto results = runner.run(plans);
 
   double losses = 0, dups = 0, crashes = 0;
